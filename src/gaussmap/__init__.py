@@ -30,13 +30,12 @@ from .gaussian import (
     transposition_matrix,
 )
 from .classify import (
-    Budget,
     ClassificationReport,
     NormalForm,
     Witness,
     delta_K,
     direction_margin,
-    minimize_direction_margin,
+    max_h,
     is_g2g,
     is_cp,
     is_classical_g2g,

@@ -9,7 +9,8 @@ counterexample families that admit no such factorization.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -17,17 +18,7 @@ import numpy as np
 from .gaussian import GaussianMap, transposition_matrix
 from .symplectic import DEFAULT_TOL, is_symplectic, standard_form
 
-DEFAULT_RESTARTS = 64
-DEFAULT_MAX_EVALS = 10_000
-
-
-@dataclass
-class Budget:
-    """Multistart search settings for the feasibility minimization."""
-
-    restarts: int = DEFAULT_RESTARTS
-    max_evals: int = DEFAULT_MAX_EVALS
-    seed: int = 0
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
@@ -47,17 +38,23 @@ class Witness:
 class ClassificationReport:
     """Aggregate verdicts for one map.
 
-    is_g2g is None when the minimization exhausted its budget without
-    either finding a violating direction or converging everywhere; the
-    verdict is then inconclusive rather than silently optimistic.
+    method records how the Gaussian-to-Gaussian verdict was reached. A
+    False verdict carries a witness direction with a negative objective.
+    For two or more modes a True verdict that is not completely positive
+    carries c_star in [-1, 1] with h(c_star) >= 0 up to tolerance, where
+    h(c) = lambda_min(alpha + i(D - c D_K)); the completely positive
+    shortcut carries c_star = 1. When the verdict came from max_h, h_max
+    is the maximum of h and c_star its argument.
     """
 
-    is_g2g: Optional[bool]
+    is_g2g: bool
     is_cp: bool
     is_classical_g2g: bool
     witness: Optional[Witness] = None
     margin: Optional[float] = None
-    method: str = "multimode_minimization"
+    method: str = "concave_h_maximum"
+    h_max: Optional[float] = None
+    c_star: Optional[float] = None
 
 
 @dataclass
@@ -79,14 +76,6 @@ class NormalForm:
     note: Optional[str] = None
 
 
-@dataclass
-class MinimizeResult:
-    value: float
-    w: np.ndarray
-    converged: bool
-    evals: int
-
-
 def delta_K(gmap):
     """The transformed canonical form K @ delta @ K.T (antisymmetric)."""
     delta = standard_form(gmap.n)
@@ -105,111 +94,92 @@ def direction_margin(gmap, w):
     )
 
 
-def _objective_batch(U, V, alpha, delta, dk):
-    """Objective on rows (u, v) of unit vectors y = (u, v), w = u + i v."""
-    quad = np.sum(U * (U @ alpha), axis=-1) + np.sum(V * (V @ alpha), axis=-1)
-    cross_k = np.sum(U * (V @ dk.T), axis=-1)
-    cross = np.sum(U * (V @ delta.T), axis=-1)
-    return quad + 2.0 * np.abs(cross_k) - 2.0 * np.abs(cross)
+def _golden_max(f, lo, hi, iters=70):
+    """Golden-section search for the maximum of a concave f on [lo, hi].
 
-
-def _eigen_seeds(alpha, delta, dk):
-    """Deterministic starting points for the multistart search.
-
-    Bottom eigenvectors of the four sign-resolved quadratic forms
-    [[alpha, s1 D_K - s2 D], [., alpha]], plus two seeds built from the
-    bottom eigenvector of alpha. For one mode the best of these already
-    attains the exact minimum of the objective.
+    Returns (f(x), x) at the better of the two final interior points.
     """
-    d = alpha.shape[0]
-    seeds = []
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            B = s1 * dk - s2 * delta
-            M = np.block([[alpha, B], [B.T, alpha]])
-            w_, v_ = np.linalg.eigh(M)
-            seeds.append(v_[:, 0])
-    w_a, v_a = np.linalg.eigh(alpha)
-    u = v_a[:, 0]
-    seeds.append(np.concatenate([u, np.zeros(d)]))
-    du = delta @ u
-    pair = np.concatenate([u, du])
-    seeds.append(pair / np.linalg.norm(pair))
-    return np.array(seeds)
+    x1 = hi - INV_PHI * (hi - lo)
+    x2 = lo + INV_PHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + INV_PHI * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - INV_PHI * (hi - lo)
+            f1 = f(x1)
+    return max((f1, x1), (f2, x2))
 
 
-def minimize_direction_margin(gmap, tol=DEFAULT_TOL, budget=None):
-    """Seeded multistart compass search for the objective's minimum.
+def _h_forms(gmap):
+    """(alpha + i D, i D_K): h(c) is the smallest eigenvalue of A - c G."""
+    return gmap.alpha + 1j * standard_form(gmap.n), 1j * delta_K(gmap)
 
-    The objective is homogeneous of degree two, so the search lives on
-    the unit sphere in R^{4n}: candidates y +/- h q_i are renormalized,
-    where the q_i form a fresh random orthonormal basis each iteration
-    (a fixed coordinate basis stalls on valleys that run diagonally).
-    The step h halves whenever no move improves by more than a
-    scale-relative threshold, and a restart counts as converged once
-    h < 1e-8. Restarts run in lockstep and the reported best is
-    deterministic for a fixed seed (ties go to the lowest restart
-    index).
+
+def max_h(gmap):
+    """Maximum over c in [-1, 1] of h(c) = lambda_min(alpha + i(D - c D_K)).
+
+    The map is Gaussian-to-Gaussian exactly when the maximum is
+    nonnegative. With the real forms a = w* alpha w, d = i w* D w and
+    k = i w* D_K w, the objective of direction_margin is a + |k| - |d|.
+    For unit w and |c| <= 1 it is at least min(a + d - c k, a - d + c k),
+    the form of alpha + i(D - c D_K) at w and at its complex conjugate,
+    hence at least h(c): no direction goes below the maximum. The
+    converse, that a nonnegative objective everywhere forces h(c) >= 0
+    at some c, is the complex S-lemma, because the joint numerical range
+    of two Hermitian forms is convex (Polik and Terlaky, "A survey of
+    the S-lemma", SIAM Rev. 2007). h is a minimum of affine functions of
+    c, hence concave: a golden-section search finds its maximum, and
+    both endpoints are compared as well.
 
     Returns:
-        MinimizeResult with the best objective value, the corresponding
-        unit direction w = u + 1j v, whether every restart converged,
-        and the per-restart evaluation count.
+        (h_max, c_star) with h(c_star) = h_max.
     """
-    if budget is None:
-        budget = Budget()
-    d = 2 * gmap.n
-    delta = standard_form(gmap.n)
-    dk = delta_K(gmap)
-    alpha = gmap.alpha
+    A, G = _h_forms(gmap)
 
-    rng = np.random.default_rng(budget.seed)
-    seeds = _eigen_seeds(alpha, delta, dk)
-    R = max(budget.restarts, 1)
-    if R < seeds.shape[0]:
-        Y = seeds[:R]
-    else:
-        extra = rng.standard_normal((R - seeds.shape[0], 2 * d))
-        Y = np.vstack([seeds, extra])
-    Y = Y / np.linalg.norm(Y, axis=1, keepdims=True)
+    def h(c):
+        return float(np.linalg.eigvalsh(A - c * G)[0])
 
-    fvals = _objective_batch(Y[:, :d], Y[:, d:], alpha, delta, dk)
-    evals = 1
-    h = np.full(R, 0.25)
-    h_min = 1e-8
-    # Improvements below float noise must not keep h from shrinking.
-    min_gain = 1e-13 * max(1.0, float(np.max(np.abs(alpha))), float(np.max(np.abs(dk))))
+    return max(_golden_max(h, -1.0, 1.0), (h(-1.0), -1.0), (h(1.0), 1.0))
 
-    while True:
-        active = h >= h_min
-        if not np.any(active) or evals >= budget.max_evals:
-            break
-        # Candidate block: for every restart, y +/- h q_i over a random
-        # orthonormal basis shared across restarts this iteration.
-        G = rng.standard_normal((2 * d, 2 * d))
-        Q, _ = np.linalg.qr(G)
-        steps = np.concatenate([Q.T, -Q.T], axis=0)        # (4d, 2d)
-        C = Y[:, None, :] + h[:, None, None] * steps[None, :, :]
-        C = C / np.linalg.norm(C, axis=2, keepdims=True)
-        fc = _objective_batch(C[:, :, :d], C[:, :, d:], alpha, delta, dk)
-        evals += steps.shape[0]
-        best_idx = np.argmin(fc, axis=1)
-        best_val = fc[np.arange(R), best_idx]
-        improved = active & (best_val < fvals - min_gain)
-        Y[improved] = C[improved, best_idx[improved]]
-        fvals[improved] = best_val[improved]
-        h[active & ~improved] *= 0.5
 
-    best = int(np.argmin(fvals))
-    y = Y[best]
-    w = y[:d] + 1j * y[d:]
-    w = w / np.linalg.norm(w)
-    return MinimizeResult(
-        value=float(fvals[best]),
-        w=w,
-        converged=bool(np.all(h < h_min)),
-        evals=evals,
-    )
+def _max_h_witness(gmap, c_star, step=1e-6):
+    """A unit direction whose objective attains h_max = h(c_star).
+
+    A bottom eigenvector w of alpha + i(D - c D_K) has objective h(c)
+    when k(w) = 0, and also at an endpoint c = 1 (c = -1) when k(w) <= 0
+    (k(w) >= 0). Since h rises up to c_star, the bottom eigenvector v_l
+    just left of c_star has k <= 0 and v_r just right of it k >= 0. With
+    their phases aligned, the real combination v_l + t v_r with k = 0
+    lies in the bottom eigenspace at c_star up to O(step**2). No
+    direction goes below h_max, so the candidate with the smallest
+    recomputed objective is kept.
+
+    Returns:
+        (w, direction_margin(gmap, w)).
+    """
+    A, G = _h_forms(gmap)
+
+    def bottom(c):
+        return np.linalg.eigh(A - c * G)[1][:, 0]
+
+    v_l, v_r = bottom(max(c_star - step, -1.0)), bottom(min(c_star + step, 1.0))
+    overlap = np.vdot(v_l, v_r)
+    if abs(overlap) > 0.0:
+        v_r = v_r * (np.conj(overlap) / abs(overlap))
+    k_l, k_r = np.vdot(v_l, G @ v_l).real, np.vdot(v_r, G @ v_r).real
+    candidates = [v_l, v_r]
+    if k_l < 0.0 < k_r:
+        # k(v_l + t v_r) = k_l + 2 t x + t**2 k_r has one root t > 0.
+        x = np.vdot(v_l, G @ v_r).real
+        root = math.sqrt(x * x - k_l * k_r)
+        t = -k_l / (x + root) if x > 0.0 else (root - x) / k_r
+        w = v_l + t * v_r
+        candidates.append(w / np.linalg.norm(w))
+    return min(((w, direction_margin(gmap, w)) for w in candidates), key=lambda p: p[1])
 
 
 def _tol_scale(gmap):
@@ -218,6 +188,13 @@ def _tol_scale(gmap):
 
 def _alpha_min_eig(gmap):
     return float(np.linalg.eigvalsh(gmap.alpha)[0])
+
+
+def _one_mode_g2g(gmap, atol):
+    """Determinant test: alpha >= 0 and sqrt(det alpha) >= 1 - |det K|, within atol."""
+    det_a = max(float(np.linalg.det(gmap.alpha)), 0.0)
+    det_k = float(np.linalg.det(gmap.K))
+    return _alpha_min_eig(gmap) >= -atol and math.sqrt(det_a) >= 1.0 - abs(det_k) - atol
 
 
 def _one_mode_margin(gmap):
@@ -255,162 +232,100 @@ def is_classical_g2g(gmap, tol=DEFAULT_TOL):
     return bool(_alpha_min_eig(gmap) >= -tol * max(1.0, float(np.max(np.abs(gmap.alpha)))))
 
 
-def is_g2g(gmap, tol=DEFAULT_TOL, budget=None):
+def is_g2g(gmap, tol=DEFAULT_TOL):
     """Decide whether the map sends all Gaussian states to Gaussian states.
 
-    One mode is decided exactly: alpha positive semidefinite and
-    sqrt(det alpha) >= 1 - |det K| - tol. For two or more modes the
-    sufficient shortcuts run first (complete positivity implies the
-    verdict; alpha with a negative eigenvalue refutes it), then the
-    multistart minimization decides.
+    One mode is decided by the determinant test: alpha positive
+    semidefinite and sqrt(det alpha) >= 1 - |det K|. For two or more
+    modes complete positivity (h(1) >= 0) implies the verdict and alpha
+    with a negative eigenvalue refutes it; otherwise the verdict is
+    max_h(gmap) >= 0. Every comparison allows tol times _tol_scale.
 
     Returns:
-        True, False, or None when the optimization budget was exhausted
-        without a certificate either way.
+        True or False.
     """
-    scale = _tol_scale(gmap)
+    atol = tol * _tol_scale(gmap)
     if gmap.n == 1:
-        if _alpha_min_eig(gmap) < -tol * scale:
-            return False
-        det_a = max(float(np.linalg.det(gmap.alpha)), 0.0)
-        det_k = float(np.linalg.det(gmap.K))
-        return bool(math.sqrt(det_a) >= 1.0 - abs(det_k) - tol)
+        return _one_mode_g2g(gmap, atol)
     if is_cp(gmap, tol=tol):
         return True
-    if _alpha_min_eig(gmap) < -tol * scale:
+    if _alpha_min_eig(gmap) < -atol:
         return False
-    res = minimize_direction_margin(gmap, tol=tol, budget=budget)
-    if res.value < -tol * scale:
-        return False
-    if res.converged:
-        return True
-    return None
+    return max_h(gmap)[0] >= -atol
 
 
-def classify(gmap, tol=DEFAULT_TOL, budget=None):
+def classify(gmap, tol=DEFAULT_TOL):
     """Full classification report for one map.
 
     Verdicts are consistent with is_g2g / is_cp / is_classical_g2g; the
     method field records how the Gaussian-to-Gaussian verdict was
-    reached, and a violating direction is attached whenever the verdict
-    came from an explicit witness.
+    reached. A False verdict carries a violating direction, and a verdict
+    from max_h carries its maximum and argument (see ClassificationReport).
     """
-    scale = _tol_scale(gmap)
+    atol = tol * _tol_scale(gmap)
     cp = is_cp(gmap, tol=tol)
-    classical = is_classical_g2g(gmap, tol=tol)
+    report = partial(
+        ClassificationReport, is_cp=cp, is_classical_g2g=is_classical_g2g(gmap, tol=tol)
+    )
 
     if gmap.n == 1:
         margin, w = _one_mode_margin(gmap)
-        det_a = max(float(np.linalg.det(gmap.alpha)), 0.0)
-        det_k = float(np.linalg.det(gmap.K))
-        ok = (_alpha_min_eig(gmap) >= -tol * scale) and (
-            math.sqrt(det_a) >= 1.0 - abs(det_k) - tol
-        )
-        if ok:
-            return ClassificationReport(
-                is_g2g=True,
-                is_cp=cp,
-                is_classical_g2g=classical,
-                margin=max(margin, 0.0),
-                method="one_mode_determinant",
-            )
-        return ClassificationReport(
+        if _one_mode_g2g(gmap, atol):
+            return report(is_g2g=True, margin=max(margin, 0.0), method="one_mode_determinant")
+        return report(
             is_g2g=False,
-            is_cp=cp,
-            is_classical_g2g=classical,
             witness=Witness(w=w, objective=margin),
             margin=margin,
             method="one_mode_determinant",
         )
 
-    alpha_norm = float(np.max(np.abs(gmap.alpha)))
-    if alpha_norm <= tol * scale:
+    if float(np.max(np.abs(gmap.alpha))) <= atol:
         # Noiseless multi-mode maps factor exactly when D_K is a scalar
-        # multiple of the canonical form with |scalar| >= 1.
+        # multiple c of the canonical form with |c| >= 1; then h(1/c) = 0.
         delta = standard_form(gmap.n)
         dk = delta_K(gmap)
         c = float(np.sum(dk * delta) / np.sum(delta * delta))
-        proportional = bool(np.max(np.abs(dk - c * delta)) <= tol * max(1.0, abs(c)))
-        if proportional and abs(c) >= 1.0 - tol:
-            return ClassificationReport(
-                is_g2g=True,
-                is_cp=cp,
-                is_classical_g2g=classical,
-                method="homogeneous_shortcut",
-            )
-        if proportional:
+        if np.max(np.abs(dk - c * delta)) <= tol * max(1.0, abs(c)):
+            if abs(c) >= 1.0 - tol:
+                return report(
+                    is_g2g=True,
+                    method="homogeneous_shortcut",
+                    c_star=max(-1.0, min(1.0, 1.0 / c)),
+                )
             # Exact minimizer: a matched quadrature pair of the first mode.
             w = np.zeros(2 * gmap.n, dtype=complex)
             w[0] = 1.0 / math.sqrt(2.0)
             w[1] = 1j / math.sqrt(2.0)
             margin = abs(c) - 1.0
-            return ClassificationReport(
+            return report(
                 is_g2g=False,
-                is_cp=cp,
-                is_classical_g2g=classical,
                 witness=Witness(w=w, objective=margin),
                 margin=margin,
-                method="multimode_minimization",
+                method="homogeneous_shortcut",
             )
-        res = minimize_direction_margin(gmap, tol=tol, budget=budget)
-        if res.value < -tol * scale:
-            return ClassificationReport(
-                is_g2g=False,
-                is_cp=cp,
-                is_classical_g2g=classical,
-                witness=Witness(w=res.w, objective=res.value),
-                margin=res.value,
-                method="multimode_minimization",
-            )
-        return ClassificationReport(
-            is_g2g=False,
-            is_cp=cp,
-            is_classical_g2g=classical,
-            method="homogeneous_shortcut",
-        )
 
     if cp:
-        return ClassificationReport(
-            is_g2g=True,
-            is_cp=True,
-            is_classical_g2g=classical,
-            method="cp_implies_g2g",
-        )
+        return report(is_g2g=True, method="cp_implies_g2g", c_star=1.0)
     a_min = _alpha_min_eig(gmap)
-    if a_min < -tol * scale:
+    if a_min < -atol:
         w_a, v_a = np.linalg.eigh(gmap.alpha)
         w = np.asarray(v_a[:, 0], dtype=complex)
-        return ClassificationReport(
+        return report(
             is_g2g=False,
-            is_cp=False,
-            is_classical_g2g=classical,
             witness=Witness(w=w, objective=a_min),
             margin=a_min,
-            method="multimode_minimization",
+            method="negative_alpha",
         )
-    res = minimize_direction_margin(gmap, tol=tol, budget=budget)
-    if res.value < -tol * scale:
-        return ClassificationReport(
-            is_g2g=False,
-            is_cp=False,
-            is_classical_g2g=classical,
-            witness=Witness(w=res.w, objective=res.value),
-            margin=res.value,
-            method="multimode_minimization",
-        )
-    if res.converged:
-        return ClassificationReport(
-            is_g2g=True,
-            is_cp=False,
-            is_classical_g2g=classical,
-            margin=max(res.value, 0.0),
-            method="multimode_minimization",
-        )
-    return ClassificationReport(
-        is_g2g=None,
-        is_cp=False,
-        is_classical_g2g=classical,
-        method="multimode_minimization",
+    h_max, c_star = max_h(gmap)
+    if h_max >= -atol:
+        return report(is_g2g=True, margin=max(h_max, 0.0), h_max=h_max, c_star=c_star)
+    w, objective = _max_h_witness(gmap, c_star)
+    return report(
+        is_g2g=False,
+        witness=Witness(w=w, objective=objective),
+        margin=objective,
+        h_max=h_max,
+        c_star=c_star,
     )
 
 
@@ -605,23 +520,8 @@ def homogeneous_factoring_check(gmap, tol=DEFAULT_TOL):
         if feas(sign, 1.0) >= -feas_tol:
             x_hi = 1.0
         else:
-            # Golden-section maximization of the concave margin on [0, 1].
-            inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-            lo, hi = 0.0, 1.0
-            x1 = hi - inv_phi * (hi - lo)
-            x2 = lo + inv_phi * (hi - lo)
-            f1, f2 = feas(sign, x1), feas(sign, x2)
-            for _ in range(70):
-                if f1 < f2:
-                    lo, x1, f1 = x1, x2, f2
-                    x2 = lo + inv_phi * (hi - lo)
-                    f2 = feas(sign, x2)
-                else:
-                    hi, x2, f2 = x2, x1, f1
-                    x1 = hi - inv_phi * (hi - lo)
-                    f1 = feas(sign, x1)
-            x_peak = 0.5 * (lo + hi)
-            if max(f1, f2) < -feas_tol:
+            f_peak, x_peak = _golden_max(lambda x: feas(sign, x), 0.0, 1.0)
+            if f_peak < -feas_tol:
                 continue
             lo, hi = x_peak, 1.0
             for _ in range(60):

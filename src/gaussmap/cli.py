@@ -4,8 +4,14 @@ Subcommands: validate, classify, decompose, apply, probe, limit-check.
 Human-readable summaries go to standard output, machine-readable
 reports to files (--report / --csv), diagnostics to standard error.
 
+Gaussian-to-Gaussian verdicts are exact: the determinant test for one
+mode, for more modes the maximum of the concave function
+h(c) = lambda_min(alpha + i(D - c D_K)) over c in [-1, 1]. classify
+prints that maximum h_max and its argument c* when it decided the
+verdict; a report also carries them under "certificate".
+
 Exit codes: 0 ok/true, 1 I/O or schema error, 2 invalid state or map
-not Gaussian-to-Gaussian, 3 inconclusive, 4 no decomposition exists.
+not Gaussian-to-Gaussian, 4 no decomposition exists.
 """
 
 import argparse
@@ -16,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .classify import (
-    Budget,
+    NormalForm,
     classify,
     decompose_no_noise,
     decompose_one_mode,
@@ -31,13 +37,18 @@ from .symplectic import is_valid_covariance, symplectic_eigenvalues
 EXIT_OK = 0
 EXIT_SCHEMA = 1
 EXIT_INVALID = 2
-EXIT_INCONCLUSIVE = 3
 EXIT_NO_DECOMPOSITION = 4
 
 
 def _fail(message):
     print(message, file=sys.stderr)
     return EXIT_SCHEMA
+
+
+def _finish(args, payload, code):
+    if args.report:
+        write_report(args.report, payload)
+    return code
 
 
 def _fmt(x):
@@ -49,16 +60,6 @@ def _write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-
-
-def _parse_budget(text):
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f"budget must look like 64x10000, got {text!r}")
-    restarts, max_evals = int(parts[0]), int(parts[1])
-    if restarts < 1 or max_evals < 1:
-        raise ValueError(f"budget must be positive, got {text!r}")
-    return restarts, max_evals
 
 
 def _parse_floats(text, flag):
@@ -86,7 +87,6 @@ def cmd_validate(args):
         "command": "validate",
         "input": args.state,
         "version": __version__,
-        "seed": args.seed,
         "tol": args.tol,
     }
     try:
@@ -94,33 +94,25 @@ def cmd_validate(args):
     except ValueError as exc:
         payload.update(valid=False, symplectic_eigenvalues=None, note=str(exc))
         print(f"invalid: {exc}")
-        if args.report:
-            write_report(args.report, payload)
-        return EXIT_INVALID
+        return _finish(args, payload, EXIT_INVALID)
     valid = is_valid_covariance(cov, tol=args.tol)
     payload.update(valid=bool(valid), symplectic_eigenvalues=nu.tolist())
     print("symplectic eigenvalues:", " ".join(_fmt(v) for v in nu))
     print("valid" if valid else "invalid: smallest symplectic eigenvalue below 1")
-    if args.report:
-        write_report(args.report, payload)
-    return EXIT_OK if valid else EXIT_INVALID
+    return _finish(args, payload, EXIT_OK if valid else EXIT_INVALID)
 
 
 def cmd_classify(args):
     try:
         gmap = load_map(args.map)
-        restarts, max_evals = _parse_budget(args.budget)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"classify: {exc}")
-    budget = Budget(restarts=restarts, max_evals=max_evals, seed=args.seed)
-    report = classify(gmap, tol=args.tol, budget=budget)
+    report = classify(gmap, tol=args.tol)
     payload = {
         "command": "classify",
         "input": args.map,
         "version": __version__,
-        "seed": args.seed,
         "tol": args.tol,
-        "budget": args.budget,
         "verdicts": {
             "is_g2g": report.is_g2g,
             "is_cp": report.is_cp,
@@ -128,20 +120,20 @@ def cmd_classify(args):
         },
         "margins": {"direction_margin": report.margin},
         "method": report.method,
+        "certificate": {"h_max": report.h_max, "c_star": report.c_star},
         "witness": _witness_payload(report.witness),
     }
-    g2g = "inconclusive" if report.is_g2g is None else str(report.is_g2g).lower()
-    print(f"gaussian-to-gaussian: {g2g}")
+    print(f"gaussian-to-gaussian: {str(report.is_g2g).lower()}")
     print(f"completely positive: {str(report.is_cp).lower()}")
     print(f"classical (alpha >= 0): {str(report.is_classical_g2g).lower()}")
     print(f"method: {report.method}")
     if report.margin is not None:
         print(f"margin: {_fmt(report.margin)}")
-    if args.report:
-        write_report(args.report, payload)
-    if report.is_g2g is None:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK if report.is_g2g else EXIT_INVALID
+    if report.h_max is not None:
+        print(f"h_max: {_fmt(report.h_max)}")
+    if report.c_star is not None:
+        print(f"c*: {_fmt(report.c_star)}")
+    return _finish(args, payload, EXIT_OK if report.is_g2g else EXIT_INVALID)
 
 
 def _recomposition_residual(gmap, lam, transposed, factor_K):
@@ -167,99 +159,52 @@ def _normal_form_payload(nf):
 def cmd_decompose(args):
     try:
         gmap = load_map(args.map)
-        restarts, max_evals = _parse_budget(args.budget)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"decompose: {exc}")
     payload = {
         "command": "decompose",
         "input": args.map,
         "version": __version__,
-        "seed": args.seed,
         "tol": args.tol,
     }
 
-    if gmap.n == 1:
-        if not is_g2g(gmap, tol=args.tol):
-            print("map is not Gaussian-to-Gaussian; no normal form exists")
-            payload.update(normal_form=None, note="not Gaussian-to-Gaussian")
-            if args.report:
-                write_report(args.report, payload)
-            return EXIT_INVALID
-        nf = decompose_one_mode(gmap, tol=args.tol)
-        residual = _recomposition_residual(gmap, nf.lam, nf.transposed, nf.S)
-        payload.update(
-            normal_form=_normal_form_payload(nf), recomposition_residual=residual
-        )
-        print(f"kind: {nf.kind}")
-        print(f"lam: {_fmt(nf.lam)}  transposed: {str(nf.transposed).lower()}")
-        print(f"recomposition residual: {_fmt(residual)}")
-        if args.report:
-            write_report(args.report, payload)
-        return EXIT_OK
-
     noise = float(np.max(np.abs(gmap.alpha)))
-    noiseless = noise <= args.tol * max(1.0, float(np.max(np.abs(gmap.K))) ** 2)
-    if noiseless:
+    if gmap.n > 1 and noise <= args.tol * max(1.0, float(np.max(np.abs(gmap.K))) ** 2):
         nf = decompose_no_noise(gmap, tol=args.tol)
         if nf.kind == "none":
             print(f"no normal form: {nf.note}")
             payload.update(normal_form=_normal_form_payload(nf))
-            if args.report:
-                write_report(args.report, payload)
-            return EXIT_INVALID
-        residual = _recomposition_residual(gmap, nf.lam, nf.transposed, nf.S)
-        payload.update(
-            normal_form=_normal_form_payload(nf), recomposition_residual=residual
-        )
-        print(f"kind: {nf.kind}")
-        print(f"scale: {_fmt(nf.lam)}  transposed: {str(nf.transposed).lower()}")
-        print(f"recomposition residual: {_fmt(residual)}")
-        if args.report:
-            write_report(args.report, payload)
-        return EXIT_OK
-
-    budget = Budget(restarts=restarts, max_evals=max_evals, seed=args.seed)
-    report = classify(gmap, tol=args.tol, budget=budget)
-    if report.is_g2g is None:
-        print("classification inconclusive; cannot decide on a decomposition")
-        return EXIT_INCONCLUSIVE
-    if not report.is_g2g:
+            return _finish(args, payload, EXIT_INVALID)
+        label = "scale"
+    elif not is_g2g(gmap, tol=args.tol):
         print("map is not Gaussian-to-Gaussian; no normal form exists")
         payload.update(normal_form=None, note="not Gaussian-to-Gaussian")
-        if args.report:
-            write_report(args.report, payload)
-        return EXIT_INVALID
-    factoring = homogeneous_factoring_check(gmap, tol=args.tol)
-    if factoring is None:
-        print(
-            "no decomposition: the map is Gaussian-to-Gaussian but does not "
-            "factor as dilatation (and optional transposition) followed by a "
-            "completely positive map"
+        return _finish(args, payload, EXIT_INVALID)
+    elif gmap.n == 1:
+        nf = decompose_one_mode(gmap, tol=args.tol)
+        label = "lam"
+    else:
+        factoring = homogeneous_factoring_check(gmap, tol=args.tol)
+        if factoring is None:
+            print(
+                "no decomposition: the map is Gaussian-to-Gaussian but does not "
+                "factor as dilatation (and optional transposition) followed by a "
+                "completely positive map"
+            )
+            payload.update(normal_form=None, note="no homogeneous factoring")
+            return _finish(args, payload, EXIT_NO_DECOMPOSITION)
+        lam, transposed, residual_map = factoring
+        nf = NormalForm(
+            kind="homogeneous_factoring", lam=lam, transposed=transposed,
+            S=residual_map.K, alpha=residual_map.alpha, y0=residual_map.y0,
         )
-        payload.update(normal_form=None, note="no homogeneous factoring")
-        if args.report:
-            write_report(args.report, payload)
-        return EXIT_NO_DECOMPOSITION
-    lam, transposed, residual_map = factoring
-    residual = _recomposition_residual(gmap, lam, transposed, residual_map.K)
-    payload.update(
-        normal_form={
-            "kind": "homogeneous_factoring",
-            "lam": lam,
-            "transposed": transposed,
-            "S": residual_map.K.tolist(),
-            "alpha": residual_map.alpha.tolist(),
-            "y0": residual_map.y0.tolist(),
-            "note": None,
-        },
-        recomposition_residual=residual,
-    )
-    print("kind: homogeneous_factoring")
-    print(f"lam: {_fmt(lam)}  transposed: {str(transposed).lower()}")
+        label = "lam"
+    residual = _recomposition_residual(gmap, nf.lam, nf.transposed, nf.S)
+    payload.update(normal_form=_normal_form_payload(nf), recomposition_residual=residual)
+    print(f"kind: {nf.kind}")
+    print(f"{label}: {_fmt(nf.lam)}  transposed: {str(nf.transposed).lower()}")
     print(f"recomposition residual: {_fmt(residual)}")
-    if args.report:
-        write_report(args.report, payload)
-    return EXIT_OK
+    return _finish(args, payload, EXIT_OK)
 
 
 def cmd_apply(args):
@@ -280,22 +225,17 @@ def cmd_apply(args):
     for row in out_cov:
         print("  " + " ".join(_fmt(v) for v in row))
     print("valid" if valid else "invalid output covariance")
-    if args.report:
-        write_report(
-            args.report,
-            {
-                "command": "apply",
-                "input_map": args.map,
-                "input_state": args.state,
-                "version": __version__,
-                "seed": args.seed,
-                "tol": args.tol,
-                "output_mean": out_mean.tolist(),
-                "output_cov": out_cov.tolist(),
-                "valid": bool(valid),
-            },
-        )
-    return EXIT_OK if valid else EXIT_INVALID
+    payload = {
+        "command": "apply",
+        "input_map": args.map,
+        "input_state": args.state,
+        "version": __version__,
+        "tol": args.tol,
+        "output_mean": out_mean.tolist(),
+        "output_cov": out_cov.tolist(),
+        "valid": bool(valid),
+    }
+    return _finish(args, payload, EXIT_OK if valid else EXIT_INVALID)
 
 
 def cmd_probe(args):
@@ -334,14 +274,8 @@ def cmd_limit_check(args):
     return EXIT_OK
 
 
-def _add_common(parser, budget=False):
+def _add_common(parser):
     parser.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
-    parser.add_argument("--seed", type=int, default=0, help="seed for the multistart search")
-    if budget:
-        parser.add_argument(
-            "--budget", default="64x10000",
-            help="multistart budget as RESTARTSxEVALS (default 64x10000)",
-        )
     parser.add_argument("--report", help="write a JSON report to this path")
 
 
@@ -360,12 +294,12 @@ def build_parser():
 
     p = sub.add_parser("classify", help="classify a map file")
     p.add_argument("map", help="map JSON file")
-    _add_common(p, budget=True)
+    _add_common(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("decompose", help="compute a normal form of a map file")
     p.add_argument("map", help="map JSON file")
-    _add_common(p, budget=True)
+    _add_common(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("apply", help="apply a map file to a state file")

@@ -7,7 +7,6 @@ exactly when all of its symplectic eigenvalues are >= 1.
 """
 
 import numpy as np
-from scipy.linalg import schur
 
 DEFAULT_TOL = 1e-9
 
@@ -122,6 +121,10 @@ def williamson(sigma, tol=DEFAULT_TOL):
     Raises:
         ValueError: if sigma is singular or indefinite.
     """
+    # Imported here: scipy.linalg is most of the package's import time and
+    # nothing else needs it.
+    from scipy.linalg import schur
+
     sigma = _check_symmetric(sigma, tol)
     n = sigma.shape[0] // 2
     w, v = np.linalg.eigh(sigma)

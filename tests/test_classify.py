@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from gaussmap import (
-    Budget,
     GaussianMap,
     classify,
     compose,
     delta_K,
     dilatation,
     direction_margin,
+    homogeneous_factoring_check,
     is_classical_g2g,
     is_cp,
     is_g2g,
-    minimize_direction_margin,
+    max_h,
     partial_transpose_example,
     q_exchange_example,
     rescale_domain,
@@ -20,6 +20,7 @@ from gaussmap import (
     state_quadratic_infimum,
     transposition,
 )
+from gaussmap.classify import _tol_scale
 from helpers import random_valid_cov
 
 
@@ -144,10 +145,9 @@ def test_classify_report_invariants_random():
     """Witnesses only accompany negative verdicts, negative margins always
     carry a witness, and complete positivity forces the main verdict."""
     rng = np.random.default_rng(19)
-    budget = Budget(restarts=8, max_evals=5000, seed=0)
     for _ in range(200):
         gmap = random_one_mode(rng)
-        report = classify(gmap, budget=budget)
+        report = classify(gmap)
         if report.witness is not None:
             assert report.is_g2g is False
         if report.margin is not None and report.margin < 0:
@@ -157,8 +157,8 @@ def test_classify_report_invariants_random():
 
 
 def test_minimizer_matches_determinant_criterion_one_mode():
+    """The maximum of h(c) decides one mode like the determinant test."""
     rng = np.random.default_rng(8)
-    budget = Budget(restarts=8, max_evals=10000, seed=0)
     checked = 0
     for _ in range(300):
         gmap = random_one_mode(rng)
@@ -166,21 +166,19 @@ def test_minimizer_matches_determinant_criterion_one_mode():
         margin = np.sqrt(det_a) - 1.0 + abs(np.linalg.det(gmap.K))
         if abs(margin) <= 1e-6:
             continue
-        res = minimize_direction_margin(gmap, budget=budget)
-        assert res.converged
-        assert (res.value >= -1e-9) == (margin > 0), (
-            f"minimum {res.value:.3e} disagrees with margin {margin:.3e}"
+        h_max, c_star = max_h(gmap)
+        assert -1.0 <= c_star <= 1.0
+        assert (h_max >= -1e-9) == (margin > 0), (
+            f"maximum {h_max:.3e} disagrees with margin {margin:.3e}"
         )
         checked += 1
     assert checked > 250
 
 
 def test_minimizer_two_mode_counterexamples_stay_nonnegative():
-    budget = Budget(restarts=16, max_evals=10000, seed=0)
     for make in (partial_transpose_example, q_exchange_example):
         for nu in (0.5, 1.0, 3.0):
-            res = minimize_direction_margin(make(nu), budget=budget)
-            assert res.value >= -1e-9
+            assert max_h(make(nu))[0] >= -1e-9
 
 
 def test_cp_implies_g2g_random():
@@ -309,9 +307,80 @@ def test_counterexamples_reject_nonpositive_parameter():
 
 
 def test_classify_counterexamples_g2g_not_cp():
-    budget = Budget(restarts=16, max_evals=10000, seed=0)
     for make in (partial_transpose_example, q_exchange_example):
         for nu in (0.5, 1.0, 3.0):
-            report = classify(make(nu), budget=budget)
+            report = classify(make(nu))
             assert report.is_g2g is True
             assert not report.is_cp
+            assert report.h_max >= -1e-9 * _tol_scale(make(nu))
+
+
+def random_multimode(rng, n):
+    """K = U(-1.5, 1.5) * U(0.2, 1.5), alpha = R R^T with R = U(-1, 1) * U(0.1, 1.5)."""
+    K = rng.uniform(-1.5, 1.5, (2 * n, 2 * n)) * rng.uniform(0.2, 1.5)
+    R = rng.uniform(-1, 1, (2 * n, 2 * n)) * rng.uniform(0.1, 1.5)
+    return GaussianMap(K=K, alpha=R @ R.T)
+
+
+def seeded_map(n_wanted, trial_wanted):
+    """One map of the default_rng(7) sequence, n in (2, 3) with 300 trials each."""
+    rng = np.random.default_rng(7)
+    for n in (2, 3):
+        for trial in range(300):
+            gmap = random_multimode(rng, n)
+            if (n, trial) == (n_wanted, trial_wanted):
+                return gmap
+    raise ValueError("no such trial")
+
+
+@pytest.mark.parametrize("n, trial, objective", [(2, 153, -0.0079421), (3, 155, -0.0230134)])
+def test_not_g2g_near_boundary_gets_witness(n, trial, objective):
+    """Maps just outside the G2G set get a witness that attains max h."""
+    gmap = seeded_map(n, trial)
+    scale = _tol_scale(gmap)
+    assert is_g2g(gmap) is False
+    report = classify(gmap)
+    assert report.is_g2g is False
+    value = direction_margin(gmap, report.witness.w)
+    assert value < -1e-9 * scale
+    assert value == pytest.approx(objective, abs=1e-7)
+    assert value == pytest.approx(report.witness.objective, abs=1e-12)
+    assert value == pytest.approx(report.h_max, abs=1e-9 * scale)
+
+
+def test_g2g_not_cp_three_modes_decided():
+    """A three-mode map that is G2G but not CP, with h_max about 0.08, factors."""
+    gmap = seeded_map(3, 17)
+    report = classify(gmap)
+    assert report.is_g2g is True
+    assert not report.is_cp
+    assert report.h_max >= -1e-9 * _tol_scale(gmap)
+    assert -1.0 <= report.c_star <= 1.0
+    assert is_g2g(gmap) is True
+    factoring = homogeneous_factoring_check(gmap)
+    assert factoring is not None
+    assert is_cp(factoring[2])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_max_h_duality_and_witness_random(n):
+    """No unit direction goes below max h (weak duality), and on every draw
+    that is not G2G the witness attains it (strong duality)."""
+    rng = np.random.default_rng(100 + n)
+    not_g2g = 0
+    for _ in range(40):
+        gmap = random_multimode(rng, n)
+        scale = _tol_scale(gmap)
+        h_max, _ = max_h(gmap)
+        W = rng.standard_normal((30, 2 * n)) + 1j * rng.standard_normal((30, 2 * n))
+        for w in W / np.linalg.norm(W, axis=1, keepdims=True):
+            assert direction_margin(gmap, w) >= h_max - 1e-12 * scale
+        report = classify(gmap)
+        assert report.is_g2g is is_g2g(gmap)
+        if report.is_g2g:
+            continue
+        not_g2g += 1
+        value = direction_margin(gmap, report.witness.w)
+        assert value < -1e-9 * scale
+        assert abs(value - h_max) <= 1e-9 * scale
+    assert not_g2g > 20

@@ -90,12 +90,27 @@ def test_classify_counterexamples_succeed(fixtures):
     assert main(["classify", fixtures["qx1.json"]]) == 0
 
 
-def test_classify_budget_flag_parsed(fixtures):
-    assert main(["classify", fixtures["qx1.json"], "--budget", "4x2000", "--seed", "1"]) == 0
+def test_classify_budget_flag_parsed(fixtures, capsys, tmp_path):
+    """The G2G-not-CP verdict needs no search settings, and comes with its certificate."""
+    r = tmp_path / "qx1-report.json"
+    assert main(["classify", fixtures["qx1.json"], "--report", str(r)]) == 0
+    out = capsys.readouterr().out
+    assert "gaussian-to-gaussian: true" in out
+    assert "completely positive: false" in out
+    assert "c*: " in out
+    doc = json.loads(r.read_text())
+    assert doc["method"] == "concave_h_maximum"
+    assert doc["certificate"]["h_max"] >= -1e-9
+    assert -1.0 <= doc["certificate"]["c_star"] <= 1.0
+    assert "seed" not in doc and "budget" not in doc
 
 
 def test_classify_bad_budget_flag(fixtures):
-    assert main(["classify", fixtures["qx1.json"], "--budget", "banana"]) == 1
+    """The search settings are gone: argparse rejects them."""
+    for flag in ("--budget", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", fixtures["qx1.json"], flag, "1"])
+        assert exc.value.code == 2
 
 
 def test_classify_report_deterministic_modulo_timestamp(fixtures, tmp_path):
