@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,13 @@ from gaussmap import (
     hs_norm_check,
     probe_fock_mixture,
     trace_norm_sum,
+)
+from gaussmap.fockprobe import (
+    _coefficient_rows,
+    _fft_coefficients,
+    _smooth_length,
+    _tail_cutoff,
+    _tau_of,
 )
 from helpers import convolution_coefficients, fft_coefficients
 
@@ -95,6 +105,149 @@ def test_spot_values_against_high_precision_sum():
             assert fc.coeffs[n] == pytest.approx(exact, abs=5e-14, rel=5e-13)
 
 
+def test_spot_values_m1000_against_high_precision_sum():
+    """The FFT row at m = 1000 against the same double binomial sum, at
+    the float64 tau the row uses. The summands cancel over several
+    hundred digits here, so the sum runs at 900 (1200 gives the same
+    floats); the binomials are exact integers."""
+    import mpmath
+
+    m = 1000
+    fc = dilated_fock_coefficients(m, 2.0)
+    with mpmath.workdps(900):
+        tau = mpmath.mpf(fc.tau)
+        for n in (0, 500, 1000, 2000, 3000):
+            total = mpmath.mpf(0)
+            for j in range(min(m, n) + 1):
+                total += (
+                    math.comb(m, j) * math.comb(m + n - j, m)
+                    * (-tau) ** (m - j) * tau ** (n - j)
+                )
+            exact = float((1 - tau) * total)
+            assert fc.coeffs[n] == pytest.approx(exact, abs=5e-14, rel=5e-13)
+
+
+def test_smooth_length_is_least_235_smooth_bound():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    for n in range(1, 600):
+        length = _smooth_length(n)
+        assert length >= n and smooth(length)
+        assert not any(smooth(k) for k in range(n, length))
+
+
+def test_fft_transform_runs_in_long_double():
+    """numpy before 2.0 transforms clongdouble in complex128, which would
+    void the derived rounding allowance."""
+    assert np.fft.fft(np.ones(30, dtype=np.clongdouble)).dtype == np.clongdouble
+    weights = np.array([0.0, 0.0, 1.0])
+    coeffs, rounding = _fft_coefficients(weights, 0.6, 40)
+    assert coeffs.dtype == np.longdouble
+    assert coeffs.size == 41
+    assert 0.0 < rounding < 1e-15
+
+
+def _mpf_of(x):
+    """A long double as an mpf, exactly: its float64 head plus the rest."""
+    import mpmath
+
+    head = float(x)
+    return mpmath.mpf(head) + mpmath.mpf(float(x - np.longdouble(head)))
+
+
+def test_long_double_fft_within_derived_pass_bound():
+    """The transform bound of `_fft_coefficients`, 17 u log2(L) relative
+    in l2, against an exact DFT of a random vector at a length that
+    uses radices 8, 3 and 5."""
+    import mpmath
+
+    length = 120
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    y = np.fft.fft(x.astype(np.clongdouble))
+    u = float(np.finfo(np.longdouble).eps) / 2.0
+    with mpmath.workdps(40):
+        w = [mpmath.exp(-2j * mpmath.pi * k / length) for k in range(length)]
+        xs = [mpmath.mpc(float(v.real), float(v.imag)) for v in x]
+        err2 = norm2 = mpmath.mpf(0)
+        for n in range(length):
+            exact = mpmath.fsum(xs[k] * w[(k * n) % length] for k in range(length))
+            got = mpmath.mpc(_mpf_of(y[n].real), _mpf_of(y[n].imag))
+            err2 += abs(got - exact) ** 2
+            norm2 += abs(exact) ** 2
+        rel = float(mpmath.sqrt(err2 / norm2))
+    assert rel <= 17.0 * u * math.log2(length)
+
+
+@pytest.mark.parametrize("lam", [0.5, -2.0, 1.2, 2.0, 3.0])
+def test_fft_rows_match_coefficient_table(lam):
+    tau = _tau_of(lam)
+    table = _coefficient_rows(500, tau, _tail_cutoff(500, tau, 1e-12)[0])
+    for m in (0, 1, 13, 120, 500):
+        fc = dilated_fock_coefficients(m, lam)
+        oracle = np.asarray(table[m, : fc.coeffs.size], dtype=float)
+        assert np.max(np.abs(fc.coeffs - oracle)) <= fc.tail_bound
+
+
+@pytest.mark.parametrize("lam", [0.5, -2.0, 1.2, 2.0, 3.0])
+def test_fft_mixtures_match_coefficient_table(lam):
+    """Mixtures through the FFT helper (contractions included) and, for
+    |lam| > 1, through the public probe, against the table's c @ P."""
+    tau = _tau_of(lam)
+    rng = np.random.default_rng(11)
+    m_top = 300
+    n_cut = _tail_cutoff(m_top, tau, 1e-12)[0]
+    table = _coefficient_rows(m_top, tau, n_cut)
+    dense = rng.uniform(0.1, 1.0, m_top + 1)
+    sparse = np.zeros(m_top + 1)
+    sparse[[3, 40, 41, 300]] = rng.dirichlet(np.ones(4))
+    for w in (dense / dense.sum(), sparse):
+        oracle = np.asarray(w.astype(np.longdouble) @ table, dtype=float)
+        tail = sum(w[m] * _tail_cutoff(m, tau, 1e-12)[1] for m in np.flatnonzero(w))
+        coeffs, rounding = _fft_coefficients(w, tau, n_cut)
+        assert np.max(np.abs(np.asarray(coeffs, dtype=float) - oracle)) <= tail + rounding
+        if abs(lam) > 1.0:
+            result = probe_fock_mixture(w, lam)
+            assert result.coefficients.size == n_cut + 1
+            assert np.max(np.abs(result.coefficients - oracle)) <= result.tail_bound
+
+
+def test_row_m10000_sums_values_and_memory():
+    """m = 10^4 at lam = 2 (N = 77617): a full coefficient table would
+    take about 12.4 GB; the FFT row keeps O(N) memory."""
+    import mpmath
+
+    tracemalloc.start()
+    try:
+        fc = dilated_fock_coefficients(10_000, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fc.truncation_N == 77617
+    assert peak < 50e6
+    assert abs(np.sum(fc.coeffs) - 1.0) <= fc.tail_bound
+    assert abs(np.sum(fc.coeffs**2) - 0.25) <= fc.tail_bound
+
+    # Evaluated as a polynomial at points off the FFT grid, the row is
+    # g_m up to the tail bound plus the long-double rounding of the
+    # evaluation (phases n theta and the sum, below 16 N u sum |p_n|).
+    p = fc.coeffs.astype(np.longdouble)
+    n = np.arange(p.size, dtype=np.longdouble)
+    u = float(np.finfo(np.longdouble).eps) / 2.0
+    tol = fc.tail_bound + 16.0 * p.size * u * float(np.sum(np.abs(p)))
+    with mpmath.workdps(40):
+        tau = mpmath.mpf(fc.tau)
+        for theta in (0.3, 1.1, 2.9):
+            z = mpmath.exp(1j * mpmath.mpf(theta))
+            exact = complex((1 - tau) * (z - tau) ** fc.m / (1 - tau * z) ** (fc.m + 1))
+            value = complex(np.sum(p * np.exp(1j * (n * np.longdouble(theta)))))
+            assert abs(value - exact) <= tol
+
+
 def test_normalization_within_tail_bound():
     for lam in (1.2, 2.0, 3.0):
         for m in (0, 1, 7, 50, 200):
@@ -128,8 +281,10 @@ def test_sweep_agrees_with_single_rows():
 
 
 def test_trace_norm_sum_grows_in_m():
-    values = [trace_norm_sum(m, 2.0) for m in (25, 100, 400)]
-    assert values[0] < values[1] < values[2]
+    # m = 2000 and 10^4 are the growth of acceptance criterion 8 past the
+    # sizes a full coefficient table allows.
+    values = [trace_norm_sum(m, 2.0) for m in (25, 100, 400, 2000, 10_000)]
+    assert all(lo < hi for lo, hi in zip(values, values[1:]))
     assert values[0] > 2.0
 
 
