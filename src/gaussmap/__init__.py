@@ -31,10 +31,12 @@ from .gaussian import (
 )
 from .classify import (
     ClassificationReport,
+    HSolution,
     NormalForm,
     Witness,
     delta_K,
     direction_margin,
+    solve_h,
     max_h,
     is_g2g,
     is_cp,
@@ -42,10 +44,12 @@ from .classify import (
     classify,
     decompose_one_mode,
     decompose_no_noise,
+    is_noiseless,
     state_quadratic_infimum,
     rescale_domain,
     partial_transpose_example,
     q_exchange_example,
+    factor_interval,
     homogeneous_factoring_check,
 )
 from .fockprobe import (

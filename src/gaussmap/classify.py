@@ -18,8 +18,6 @@ import numpy as np
 from .gaussian import GaussianMap, transposition_matrix
 from .symplectic import DEFAULT_TOL, is_symplectic, standard_form
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass
 class Witness:
@@ -35,16 +33,31 @@ class Witness:
 
 
 @dataclass
+class HSolution:
+    """Certificate of solve_h: h(c_star) = h_max, and no h(c) exceeds h_upper.
+
+    interval = (c_lo, c_hi) is the feasible set {c : h(c) >= -floor},
+    floor = 1e-13 * _tol_scale, or None when it is empty; h is at least
+    -floor at both ends. eigensolves counts the eigendecompositions made.
+    """
+
+    h_max: float
+    c_star: float
+    h_upper: float
+    interval: Optional[tuple]
+    eigensolves: int
+
+
+@dataclass
 class ClassificationReport:
     """Aggregate verdicts for one map.
 
     method records how the Gaussian-to-Gaussian verdict was reached. A
     False verdict carries a witness direction with a negative objective.
-    For two or more modes a True verdict that is not completely positive
-    carries c_star in [-1, 1] with h(c_star) >= 0 up to tolerance, where
-    h(c) = lambda_min(alpha + i(D - c D_K)); the completely positive
-    shortcut carries c_star = 1. When the verdict came from max_h, h_max
-    is the maximum of h and c_star its argument.
+    A verdict of solve_h carries its certificate (see HSolution), so a
+    True one has h(c_star) >= 0 up to tolerance, where
+    h(c) = lambda_min(alpha + i(D - c D_K)). The completely positive
+    shortcut carries c_star = 1; fields a shortcut did not compute are None.
     """
 
     is_g2g: bool
@@ -55,6 +68,9 @@ class ClassificationReport:
     method: str = "concave_h_maximum"
     h_max: Optional[float] = None
     c_star: Optional[float] = None
+    h_upper: Optional[float] = None
+    interval: Optional[tuple] = None
+    eigensolves: Optional[int] = None
 
 
 @dataclass
@@ -94,29 +110,74 @@ def direction_margin(gmap, w):
     )
 
 
-def _golden_max(f, lo, hi, iters=70):
-    """Golden-section search for the maximum of a concave f on [lo, hi].
-
-    Returns (f(x), x) at the better of the two final interior points.
-    """
-    x1 = hi - INV_PHI * (hi - lo)
-    x2 = lo + INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + INV_PHI * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - INV_PHI * (hi - lo)
-            f1 = f(x1)
-    return max((f1, x1), (f2, x2))
-
-
 def _h_forms(gmap):
     """(alpha + i D, i D_K): h(c) is the smallest eigenvalue of A - c G."""
     return gmap.alpha + 1j * standard_form(gmap.n), 1j * delta_K(gmap)
+
+
+def solve_h(gmap):
+    """Maximum and feasible interval of h(c) = lambda_min(alpha + i(D - c D_K)).
+
+    One eigendecomposition of A - c G (see _h_forms) gives h(c) and, from
+    the bottom eigenvector v, the supergradient g = -v* G v. h is concave,
+    so every tangent h(c) + g (x - c) bounds it from above. Cutting planes
+    (Kelley 1960; Overton, SIAM J. Optim. 1992) keep the nearest tangent
+    rising on the left of the maximum and the nearest falling on its
+    right, and evaluate h where they meet, which bounds max h from above.
+    The solve stops when that bound is within floor = 1e-13 * _tol_scale
+    of the best value and the bracket between the two tangent points,
+    which holds the maximizer, is narrower than the step of
+    _max_h_witness. Near a smooth maximum each cut halves the bracket; at
+    a kink (noiseless maps, where h is piecewise linear) the first two
+    tangents meet at the maximum itself.
+
+    If h_max >= -floor, each end of the feasible set is found by Newton
+    steps on h towards min(0, h_max), from the tangent at the innermost
+    cut on that side with h < -floor (the end is c = -1 or 1 if there is
+    none). By concavity the steps stay outside the set; the first iterate
+    with h >= -floor is the end, so both ends are feasible.
+
+    Returns:
+        HSolution.
+    """
+    A, G = _h_forms(gmap)
+    floor = 1e-13 * _tol_scale(gmap)
+    cuts = []
+
+    def cut(c):
+        w, v = np.linalg.eigh(A - c * G)
+        cuts.append((c, float(w[0]), -float(np.vdot(v[:, 0], G @ v[:, 0]).real)))
+        return cuts[-1]
+
+    lo, hi = cut(-1.0), cut(1.0)
+    best = max(lo, hi, key=lambda p: p[1])
+    while True:
+        (a, h_a, g_a), (b, h_b, g_b) = lo, hi
+        if g_a <= 0.0 or g_b >= 0.0:
+            # h is monotone on [a, b], and a tangent there bounds it by its end value.
+            upper = h_a if g_a <= 0.0 else h_b
+            break
+        x = (h_b - h_a + g_a * a - g_b * b) / (g_a - g_b)
+        upper = h_a + g_a * (x - a)
+        if upper - best[1] <= floor and b - a <= 1e-6 or not a < x < b:
+            break
+        p = cut(x)
+        best = max(best, p, key=lambda q: q[1])
+        lo, hi = (p, hi) if p[2] > 0.0 else (lo, p)
+    c_star, h_max = best[0], best[1]
+
+    def end(side):
+        outside = [p for p in cuts if side * (p[0] - c_star) > 0.0 and p[1] < -floor]
+        c, h, g = min(outside, key=lambda p: abs(p[0] - c_star), default=(side, 0.0, 0.0))
+        while h < -floor:
+            x = c + (min(0.0, h_max) - h) / g
+            if not 0.0 < side * (x - c_star) < side * (c - c_star):
+                return c_star
+            c, h, g = cut(x)
+        return c
+
+    interval = (end(-1.0), end(1.0)) if h_max >= -floor else None
+    return HSolution(h_max, c_star, max(upper, h_max), interval, len(cuts))
 
 
 def max_h(gmap):
@@ -131,19 +192,13 @@ def max_h(gmap):
     converse, that a nonnegative objective everywhere forces h(c) >= 0
     at some c, is the complex S-lemma, because the joint numerical range
     of two Hermitian forms is convex (Polik and Terlaky, "A survey of
-    the S-lemma", SIAM Rev. 2007). h is a minimum of affine functions of
-    c, hence concave: a golden-section search finds its maximum, and
-    both endpoints are compared as well.
+    the S-lemma", SIAM Rev. 2007). solve_h finds the maximum.
 
     Returns:
         (h_max, c_star) with h(c_star) = h_max.
     """
-    A, G = _h_forms(gmap)
-
-    def h(c):
-        return float(np.linalg.eigvalsh(A - c * G)[0])
-
-    return max(_golden_max(h, -1.0, 1.0), (h(-1.0), -1.0), (h(1.0), 1.0))
+    solution = solve_h(gmap)
+    return solution.h_max, solution.c_star
 
 
 def _max_h_witness(gmap, c_star, step=1e-6):
@@ -186,6 +241,11 @@ def _tol_scale(gmap):
     return max(1.0, float(np.max(np.abs(gmap.alpha))), float(np.max(np.abs(delta_K(gmap)))))
 
 
+def is_noiseless(gmap, tol=DEFAULT_TOL):
+    """Whether alpha = 0 within tol * _tol_scale, the maps decompose_no_noise takes."""
+    return float(np.max(np.abs(gmap.alpha))) <= tol * _tol_scale(gmap)
+
+
 def _alpha_min_eig(gmap):
     return float(np.linalg.eigvalsh(gmap.alpha)[0])
 
@@ -215,16 +275,14 @@ def _one_mode_margin(gmap):
 
 
 def is_cp(gmap, tol=DEFAULT_TOL):
-    """Complete positivity: alpha + 1j (delta - D_K) positive semidefinite.
+    """Complete positivity: h(1) >= 0, i.e. alpha + 1j (delta - D_K) >= 0.
 
     The opposite sign follows by conjugation. For one mode this agrees
     with the determinant test sqrt(det alpha) >= |1 - det K| whenever
     alpha is positive semidefinite.
     """
-    delta = standard_form(gmap.n)
-    herm = gmap.alpha + 1j * (delta - delta_K(gmap))
-    ev = np.linalg.eigvalsh(herm)
-    return bool(ev[0] >= -tol * _tol_scale(gmap))
+    A, G = _h_forms(gmap)
+    return bool(np.linalg.eigvalsh(A - G)[0] >= -tol * _tol_scale(gmap))
 
 
 def is_classical_g2g(gmap, tol=DEFAULT_TOL):
@@ -236,22 +294,16 @@ def is_g2g(gmap, tol=DEFAULT_TOL):
     """Decide whether the map sends all Gaussian states to Gaussian states.
 
     One mode is decided by the determinant test: alpha positive
-    semidefinite and sqrt(det alpha) >= 1 - |det K|. For two or more
-    modes complete positivity (h(1) >= 0) implies the verdict and alpha
-    with a negative eigenvalue refutes it; otherwise the verdict is
-    max_h(gmap) >= 0. Every comparison allows tol times _tol_scale.
+    semidefinite and sqrt(det alpha) >= 1 - |det K|. Two or more modes
+    take the verdict of classify, which is max_h(gmap) >= 0 unless a
+    shortcut decides. Every comparison allows tol times _tol_scale.
 
     Returns:
         True or False.
     """
-    atol = tol * _tol_scale(gmap)
     if gmap.n == 1:
-        return _one_mode_g2g(gmap, atol)
-    if is_cp(gmap, tol=tol):
-        return True
-    if _alpha_min_eig(gmap) < -atol:
-        return False
-    return max_h(gmap)[0] >= -atol
+        return _one_mode_g2g(gmap, tol * _tol_scale(gmap))
+    return classify(gmap, tol=tol).is_g2g
 
 
 def classify(gmap, tol=DEFAULT_TOL):
@@ -260,7 +312,7 @@ def classify(gmap, tol=DEFAULT_TOL):
     Verdicts are consistent with is_g2g / is_cp / is_classical_g2g; the
     method field records how the Gaussian-to-Gaussian verdict was
     reached. A False verdict carries a violating direction, and a verdict
-    from max_h carries its maximum and argument (see ClassificationReport).
+    from solve_h carries its certificate (see ClassificationReport).
     """
     atol = tol * _tol_scale(gmap)
     cp = is_cp(gmap, tol=tol)
@@ -279,54 +331,33 @@ def classify(gmap, tol=DEFAULT_TOL):
             method="one_mode_determinant",
         )
 
-    if float(np.max(np.abs(gmap.alpha))) <= atol:
-        # Noiseless multi-mode maps factor exactly when D_K is a scalar
-        # multiple c of the canonical form with |c| >= 1; then h(1/c) = 0.
-        delta = standard_form(gmap.n)
-        dk = delta_K(gmap)
-        c = float(np.sum(dk * delta) / np.sum(delta * delta))
-        if np.max(np.abs(dk - c * delta)) <= tol * max(1.0, abs(c)):
-            if abs(c) >= 1.0 - tol:
-                return report(
-                    is_g2g=True,
-                    method="homogeneous_shortcut",
-                    c_star=max(-1.0, min(1.0, 1.0 / c)),
-                )
-            # Exact minimizer: a matched quadrature pair of the first mode.
-            w = np.zeros(2 * gmap.n, dtype=complex)
-            w[0] = 1.0 / math.sqrt(2.0)
-            w[1] = 1j / math.sqrt(2.0)
-            margin = abs(c) - 1.0
-            return report(
-                is_g2g=False,
-                witness=Witness(w=w, objective=margin),
-                margin=margin,
-                method="homogeneous_shortcut",
-            )
-
     if cp:
         return report(is_g2g=True, method="cp_implies_g2g", c_star=1.0)
-    a_min = _alpha_min_eig(gmap)
-    if a_min < -atol:
-        w_a, v_a = np.linalg.eigh(gmap.alpha)
-        w = np.asarray(v_a[:, 0], dtype=complex)
+    w_a, v_a = np.linalg.eigh(gmap.alpha)
+    if w_a[0] < -atol:
+        a_min = float(w_a[0])
         return report(
             is_g2g=False,
-            witness=Witness(w=w, objective=a_min),
+            witness=Witness(w=v_a[:, 0].astype(complex), objective=a_min),
             margin=a_min,
             method="negative_alpha",
         )
-    h_max, c_star = max_h(gmap)
-    if h_max >= -atol:
-        return report(is_g2g=True, margin=max(h_max, 0.0), h_max=h_max, c_star=c_star)
-    w, objective = _max_h_witness(gmap, c_star)
+    solution = solve_h(gmap)
+    if solution.h_max >= -atol:
+        return report(is_g2g=True, margin=max(solution.h_max, 0.0), **vars(solution))
+    w, objective = _max_h_witness(gmap, solution.c_star)
     return report(
         is_g2g=False,
         witness=Witness(w=w, objective=objective),
         margin=objective,
-        h_max=h_max,
-        c_star=c_star,
+        **vars(solution),
     )
+
+
+def _residual(gmap, lam, transposed):
+    """The factor (K T^b / lam, alpha, y0) left by K = K' . T^b . (lam identity)."""
+    T_b = transposition_matrix(gmap.n) if transposed else np.eye(2 * gmap.n)
+    return GaussianMap(K=(gmap.K @ T_b) / lam, alpha=gmap.alpha.copy(), y0=gmap.y0.copy())
 
 
 def decompose_one_mode(gmap, tol=DEFAULT_TOL):
@@ -348,27 +379,17 @@ def decompose_one_mode(gmap, tol=DEFAULT_TOL):
     if not is_g2g(gmap, tol=tol):
         raise ValueError("map is not Gaussian-to-Gaussian; no normal form exists")
     d = float(np.linalg.det(gmap.K))
-    T = transposition_matrix(1)
-    if -tol <= d <= 1.0 + tol:
-        return NormalForm(
-            kind="cp_only", lam=1.0, transposed=False,
-            S=gmap.K.copy(), alpha=gmap.alpha.copy(), y0=gmap.y0.copy(),
-        )
-    if d > 1.0:
-        lam = math.sqrt(d)
-        return NormalForm(
-            kind="dilatation_then_cp", lam=lam, transposed=False,
-            S=gmap.K / lam, alpha=gmap.alpha.copy(), y0=gmap.y0.copy(),
-        )
-    if d >= -1.0 - tol:
-        return NormalForm(
-            kind="transpose_then_cp", lam=1.0, transposed=True,
-            S=gmap.K @ T, alpha=gmap.alpha.copy(), y0=gmap.y0.copy(),
-        )
-    lam = math.sqrt(-d)
+    dilated, transposed = abs(d) > 1.0 + tol, d < -tol
+    lam = math.sqrt(abs(d)) if dilated else 1.0
+    kind = {
+        (False, False): "cp_only",
+        (True, False): "dilatation_then_cp",
+        (False, True): "transpose_then_cp",
+        (True, True): "dilatation_transpose_then_cp",
+    }[dilated, transposed]
+    residual = _residual(gmap, lam, transposed)
     return NormalForm(
-        kind="dilatation_transpose_then_cp", lam=lam, transposed=True,
-        S=(gmap.K @ T) / lam, alpha=gmap.alpha.copy(), y0=gmap.y0.copy(),
+        kind=kind, lam=lam, transposed=transposed, S=residual.K, alpha=residual.alpha, y0=residual.y0
     )
 
 
@@ -381,10 +402,10 @@ def decompose_no_noise(gmap, tol=DEFAULT_TOL):
     D_K is not proportional to D or the scale is below one.
 
     Raises:
-        ValueError: if alpha is not zero within tolerance.
+        ValueError: if the map is not noiseless (see is_noiseless).
     """
-    alpha_norm = float(np.max(np.abs(gmap.alpha)))
-    if alpha_norm > tol * max(1.0, float(np.max(np.abs(gmap.K))) ** 2):
+    if not is_noiseless(gmap, tol=tol):
+        alpha_norm = float(np.max(np.abs(gmap.alpha)))
         raise ValueError(f"map has noise (max |alpha| = {alpha_norm:.3e}); alpha must be 0")
     delta = standard_form(gmap.n)
     dk = delta_K(gmap)
@@ -407,12 +428,8 @@ def decompose_no_noise(gmap, tol=DEFAULT_TOL):
                 "the canonical form and is not Gaussian-to-Gaussian"
             ),
         )
-    kappa = math.sqrt(abs(c))
-    transposed = c < 0
-    S = gmap.K.copy()
-    if transposed:
-        S = S @ transposition_matrix(gmap.n)
-    S = S / kappa
+    kappa, transposed = math.sqrt(abs(c)), c < 0
+    S = _residual(gmap, kappa, transposed).K
     if not is_symplectic(S, tol=max(tol * 1e3, 1e-6)):
         raise ValueError("recovered factor failed the symplectic check")
     return NormalForm(
@@ -482,64 +499,46 @@ def q_exchange_example(nu):
     return GaussianMap(K=K, alpha=np.eye(4))
 
 
+def factor_interval(gmap, interval, tol=DEFAULT_TOL):
+    """Read K = K' . T^b . (lam identity) with K' CP off a feasible interval of h.
+
+    K' = K T^b / lam is CP exactly when h(c) >= 0 at c = 1 / lam**2
+    (b = 0) or c = -1 / lam**2 (b = 1, as T flips the sign of D_K). So the
+    end of (c_lo, c_hi) with the largest |c| gives the smallest lam; the
+    transposition is taken only when it lowers lam by more than tol, and
+    the residual must pass is_cp. Ends with |c| < 1e-4 (lam > 100) do not
+    count: both counterexample families touch zero at c = 0 with a
+    quadratic decay, and the feasible sliver of width ~sqrt(floor) around
+    it is a limit of ever-larger dilatations, not a factoring.
+
+    Returns:
+        None when interval is None or no end qualifies, else a tuple
+        (lam, transposed, residual GaussianMap).
+    """
+    if interval is None:
+        return None
+    best = None
+    for c, transposed in ((interval[1], False), (-interval[0], True)):
+        if c < 1e-4:
+            continue
+        lam = 1.0 / math.sqrt(c)
+        if best is not None and lam >= best[0] - tol:
+            continue
+        residual = _residual(gmap, lam, transposed)
+        if is_cp(residual, tol):
+            best = (lam, transposed, residual)
+    return best
+
+
 def homogeneous_factoring_check(gmap, tol=DEFAULT_TOL):
     """Search for a factoring K = K' . T^b . (lam identity) with K' CP.
 
-    Complete positivity of the residual depends on lam and b only through
-    alpha + 1j (D - (+/-) D_K / lam**2), whose smallest eigenvalue is a
-    concave function of x = 1 / lam**2. The feasible x therefore form a
-    closed subinterval of [0, 1]: a golden-section maximization locates
-    it and a bisection finds its upper endpoint, whose lam is the
-    smallest feasible dilatation parameter.
-
-    Feasibility along the interval is measured at the numerical noise
-    floor rather than at `tol`. Slack of size tol around the degenerate
-    point x = 0 would otherwise admit a sliver of width ~sqrt(tol)
-    whenever the margin decays quadratically there (both counterexample
-    families do), which is a limit of ever-larger dilatations and not a
-    factoring. Endpoints below x = 1e-4 are reported as absent for the
-    same reason, so a returned lam never exceeds 100.
+    Reads the factoring off the feasible interval of one solve_h, whose
+    noise floor rather than tol keeps the sliver around a degenerate
+    c = 0 narrow (see factor_interval); a returned lam never exceeds 100.
 
     Returns:
         None when no factoring exists (as for both counterexample
         families), else a tuple (lam, transposed, residual GaussianMap).
     """
-    delta = standard_form(gmap.n)
-    dk = delta_K(gmap)
-    alpha = gmap.alpha
-    scale = _tol_scale(gmap)
-    feas_tol = 1e-13 * scale
-    x_floor = 1e-4
-
-    def feas(sign, x):
-        herm = alpha + 1j * (delta - sign * x * dk)
-        return float(np.linalg.eigvalsh(herm)[0])
-
-    best = None
-    for b, sign in ((0, 1.0), (1, -1.0)):
-        if feas(sign, 1.0) >= -feas_tol:
-            x_hi = 1.0
-        else:
-            f_peak, x_peak = _golden_max(lambda x: feas(sign, x), 0.0, 1.0)
-            if f_peak < -feas_tol:
-                continue
-            lo, hi = x_peak, 1.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if feas(sign, mid) >= -feas_tol:
-                    lo = mid
-                else:
-                    hi = mid
-            x_hi = lo
-        if x_hi < x_floor:
-            continue
-        lam = 1.0 / math.sqrt(x_hi) if x_hi < 1.0 else 1.0
-        if best is None or lam < best[0] - tol:
-            T_b = transposition_matrix(gmap.n) if b else np.eye(2 * gmap.n)
-            residual = GaussianMap(
-                K=(gmap.K @ T_b) / lam, alpha=gmap.alpha.copy(), y0=gmap.y0.copy()
-            )
-            if not is_cp(residual, tol):
-                continue
-            best = (lam, bool(b), residual)
-    return best
+    return factor_interval(gmap, solve_h(gmap).interval, tol)

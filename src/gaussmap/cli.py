@@ -6,9 +6,13 @@ reports to files (--report / --csv), diagnostics to standard error.
 
 Gaussian-to-Gaussian verdicts are exact: the determinant test for one
 mode, for more modes the maximum of the concave function
-h(c) = lambda_min(alpha + i(D - c D_K)) over c in [-1, 1]. classify
-prints that maximum h_max and its argument c* when it decided the
-verdict; a report also carries them under "certificate".
+h(c) = lambda_min(alpha + i(D - c D_K)) over c in [-1, 1], found by one
+cutting-plane solve. When that solve decided the verdict, classify
+prints the maximum h_max, its argument c*, the proven upper bound
+h_upper, the feasible interval [c_lo, c_hi] of h and the number of
+eigensolves; a report carries them under "certificate". decompose reads
+both its verdict and the dilatation-transposition factoring of a map of
+two or more modes off that same solve.
 
 Exit codes: 0 ok/true, 1 I/O or schema error, 2 invalid state or map
 not Gaussian-to-Gaussian, 4 no decomposition exists.
@@ -26,8 +30,9 @@ from .classify import (
     classify,
     decompose_no_noise,
     decompose_one_mode,
-    homogeneous_factoring_check,
+    factor_interval,
     is_g2g,
+    is_noiseless,
 )
 from .fockprobe import airy_limit_error, probe_fock_mixture
 from .gaussian import transposition_matrix
@@ -120,7 +125,13 @@ def cmd_classify(args):
         },
         "margins": {"direction_margin": report.margin},
         "method": report.method,
-        "certificate": {"h_max": report.h_max, "c_star": report.c_star},
+        "certificate": {
+            "h_max": report.h_max,
+            "c_star": report.c_star,
+            "h_upper": report.h_upper,
+            "interval": None if report.interval is None else list(report.interval),
+            "eigensolves": report.eigensolves,
+        },
         "witness": _witness_payload(report.witness),
     }
     print(f"gaussian-to-gaussian: {str(report.is_g2g).lower()}")
@@ -133,6 +144,12 @@ def cmd_classify(args):
         print(f"h_max: {_fmt(report.h_max)}")
     if report.c_star is not None:
         print(f"c*: {_fmt(report.c_star)}")
+    if report.h_upper is not None:
+        print(f"h_upper: {_fmt(report.h_upper)}")
+    if report.interval is not None:
+        print(f"interval: [{_fmt(report.interval[0])}, {_fmt(report.interval[1])}]")
+    if report.eigensolves is not None:
+        print(f"eigensolves: {report.eigensolves}")
     return _finish(args, payload, EXIT_OK if report.is_g2g else EXIT_INVALID)
 
 
@@ -168,23 +185,24 @@ def cmd_decompose(args):
         "tol": args.tol,
     }
 
-    noise = float(np.max(np.abs(gmap.alpha)))
-    if gmap.n > 1 and noise <= args.tol * max(1.0, float(np.max(np.abs(gmap.K))) ** 2):
+    if gmap.n > 1 and is_noiseless(gmap, tol=args.tol):
         nf = decompose_no_noise(gmap, tol=args.tol)
         if nf.kind == "none":
             print(f"no normal form: {nf.note}")
             payload.update(normal_form=_normal_form_payload(nf))
             return _finish(args, payload, EXIT_INVALID)
         label = "scale"
-    elif not is_g2g(gmap, tol=args.tol):
+    elif gmap.n == 1 and is_g2g(gmap, tol=args.tol):
+        nf = decompose_one_mode(gmap, tol=args.tol)
+        label = "lam"
+    elif gmap.n == 1 or not (report := classify(gmap, tol=args.tol)).is_g2g:
         print("map is not Gaussian-to-Gaussian; no normal form exists")
         payload.update(normal_form=None, note="not Gaussian-to-Gaussian")
         return _finish(args, payload, EXIT_INVALID)
-    elif gmap.n == 1:
-        nf = decompose_one_mode(gmap, tol=args.tol)
-        label = "lam"
     else:
-        factoring = homogeneous_factoring_check(gmap, tol=args.tol)
+        # A completely positive map factors with lam = 1: h(1) >= 0.
+        interval = (1.0, 1.0) if report.is_cp else report.interval
+        factoring = factor_interval(gmap, interval, tol=args.tol)
         if factoring is None:
             print(
                 "no decomposition: the map is Gaussian-to-Gaussian but does not "

@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.linalg import expm
 
-from gaussmap import standard_form
+from gaussmap import GaussianMap, standard_form
 
 
 def random_symplectic(n, rng, scale=1.0):
@@ -77,3 +77,35 @@ def convolution_coefficients(m, lam, n_max):
 def squeezed_cov(eps):
     """One-mode squeezed covariance diag(eps, 1/eps); physical for any eps > 0."""
     return np.diag([eps, 1.0 / eps])
+
+
+def random_multimode(rng, n):
+    """K = U(-1.5, 1.5) * U(0.2, 1.5), alpha = R R^T with R = U(-1, 1) * U(0.1, 1.5)."""
+    K = rng.uniform(-1.5, 1.5, (2 * n, 2 * n)) * rng.uniform(0.2, 1.5)
+    R = rng.uniform(-1, 1, (2 * n, 2 * n)) * rng.uniform(0.1, 1.5)
+    return GaussianMap(K=K, alpha=R @ R.T)
+
+
+def seeded_map(n_wanted, trial_wanted):
+    """One map of the default_rng(7) sequence, n in (2, 3) with 300 trials each."""
+    rng = np.random.default_rng(7)
+    for n in (2, 3):
+        for trial in range(300):
+            gmap = random_multimode(rng, n)
+            if (n, trial) == (n_wanted, trial_wanted):
+                return gmap
+    raise ValueError("no such trial")
+
+
+def count_eigensolves(monkeypatch):
+    """Count calls of numpy.linalg.eigh and eigvalsh from now on; returns a one-item list."""
+    count = [0]
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            count[0] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return count

@@ -16,12 +16,20 @@ from gaussmap import (
     partial_transpose_example,
     q_exchange_example,
     rescale_domain,
+    solve_h,
     standard_form,
     state_quadratic_infimum,
     transposition,
+    transposition_matrix,
 )
 from gaussmap.classify import _tol_scale
-from helpers import random_valid_cov
+from helpers import (
+    count_eigensolves,
+    random_multimode,
+    random_symplectic,
+    random_valid_cov,
+    seeded_map,
+)
 
 
 def one_mode_map(k, alpha=None, y0=None):
@@ -315,24 +323,6 @@ def test_classify_counterexamples_g2g_not_cp():
             assert report.h_max >= -1e-9 * _tol_scale(make(nu))
 
 
-def random_multimode(rng, n):
-    """K = U(-1.5, 1.5) * U(0.2, 1.5), alpha = R R^T with R = U(-1, 1) * U(0.1, 1.5)."""
-    K = rng.uniform(-1.5, 1.5, (2 * n, 2 * n)) * rng.uniform(0.2, 1.5)
-    R = rng.uniform(-1, 1, (2 * n, 2 * n)) * rng.uniform(0.1, 1.5)
-    return GaussianMap(K=K, alpha=R @ R.T)
-
-
-def seeded_map(n_wanted, trial_wanted):
-    """One map of the default_rng(7) sequence, n in (2, 3) with 300 trials each."""
-    rng = np.random.default_rng(7)
-    for n in (2, 3):
-        for trial in range(300):
-            gmap = random_multimode(rng, n)
-            if (n, trial) == (n_wanted, trial_wanted):
-                return gmap
-    raise ValueError("no such trial")
-
-
 @pytest.mark.parametrize("n, trial, objective", [(2, 153, -0.0079421), (3, 155, -0.0230134)])
 def test_not_g2g_near_boundary_gets_witness(n, trial, objective):
     """Maps just outside the G2G set get a witness that attains max h."""
@@ -363,15 +353,21 @@ def test_g2g_not_cp_three_modes_decided():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_max_h_duality_and_witness_random(n):
+def test_max_h_duality_and_witness_random(n, monkeypatch):
     """No unit direction goes below max h (weak duality), and on every draw
-    that is not G2G the witness attains it (strong duality)."""
+    that is not G2G the witness attains it (strong duality). On the draws
+    that are not CP, max_h takes at most 30 eigensolves in the median."""
     rng = np.random.default_rng(100 + n)
+    count = count_eigensolves(monkeypatch)
     not_g2g = 0
+    solves = []
     for _ in range(40):
         gmap = random_multimode(rng, n)
         scale = _tol_scale(gmap)
+        before = count[0]
         h_max, _ = max_h(gmap)
+        if not is_cp(gmap):
+            solves.append(count[0] - before)
         W = rng.standard_normal((30, 2 * n)) + 1j * rng.standard_normal((30, 2 * n))
         for w in W / np.linalg.norm(W, axis=1, keepdims=True):
             assert direction_margin(gmap, w) >= h_max - 1e-12 * scale
@@ -384,3 +380,78 @@ def test_max_h_duality_and_witness_random(n):
         assert value < -1e-9 * scale
         assert abs(value - h_max) <= 1e-9 * scale
     assert not_g2g > 20
+    assert np.median(solves) <= 30
+
+
+def h_at(gmap, c):
+    """h(c) = lambda_min(alpha + i(D - c D_K)), straight from the definition."""
+    return float(np.linalg.eigvalsh(gmap.alpha + 1j * (standard_form(gmap.n) - c * delta_K(gmap)))[0])
+
+
+def test_solve_h_interval_one_mode_closed_form():
+    """For one mode D_K = det K D, so with alpha >= 0 the feasible set is
+    {c in [-1, 1] : |1 - c det K| <= sqrt(det alpha)}. The ends of solve_h
+    match it in all four determinant ranges, and are feasible."""
+    rng = np.random.default_rng(31)
+    ranges = set()
+    for i in range(400):
+        d = rng.uniform(*[(0.1, 0.9), (1.1, 3.0), (-0.9, -0.1), (-3.0, -1.1)][i % 4])
+        k = rng.uniform(-2.0, 2.0, size=(2, 2))
+        if abs(np.linalg.det(k)) < 0.05:
+            continue
+        k = k * np.sqrt(abs(d / np.linalg.det(k)))
+        if np.linalg.det(k) * d < 0:
+            k[:, 0] = -k[:, 0]
+        r = rng.uniform(-1.0, 1.0, size=(2, 2))
+        gmap = one_mode_map(k, r @ r.T)
+        det_k = float(np.linalg.det(k))
+        s = float(np.sqrt(max(np.linalg.det(gmap.alpha), 0.0)))
+        lo, hi = sorted(((1.0 - s) / det_k, (1.0 + s) / det_k))
+        lo, hi = max(lo, -1.0), min(hi, 1.0)
+        if s < 0.05 or abs(hi - lo) < 1e-6:
+            continue
+        solution = solve_h(gmap)
+        if lo > hi:
+            assert solution.interval is None
+            continue
+        floor = 1e-13 * _tol_scale(gmap)
+        assert solution.interval == pytest.approx((lo, hi), abs=1e-8)
+        assert min(h_at(gmap, c) for c in solution.interval) >= -floor
+        ranges.add((det_k > 0, abs(det_k) > 1))
+    assert len(ranges) == 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_solve_h_upper_bound_and_feasible_ends(n, monkeypatch):
+    """h_upper is at least h on a 2001-point grid of c, within the noise
+    floor of h_max; both ends of the interval are feasible and the
+    reported eigensolves are the ones made. Every other draw is a CP
+    channel mu S (S symplectic) after T^b and a dilatation lam, so G2G."""
+    rng = np.random.default_rng(200 + n)
+    count = count_eigensolves(monkeypatch)
+    grid = np.linspace(-1.0, 1.0, 2001)
+    feasible = 0
+    for trial in range(12):
+        if trial % 2:
+            gmap = random_multimode(rng, n)
+        else:
+            mu, lam = rng.uniform(0.3, 0.9), rng.uniform(1.2, 3.0)
+            T_b = transposition_matrix(n) if rng.integers(2) else np.eye(2 * n)
+            r = rng.uniform(-0.3, 0.3, (2 * n, 2 * n))
+            K = lam * mu * random_symplectic(n, rng, scale=0.3) @ T_b
+            gmap = GaussianMap(K=K, alpha=(1.0 - mu**2) * np.eye(2 * n) + r @ r.T)
+        floor = 1e-13 * _tol_scale(gmap)
+        before = count[0]
+        solution = solve_h(gmap)
+        assert solution.eigensolves == count[0] - before
+        assert solution.h_max == pytest.approx(h_at(gmap, solution.c_star), abs=floor)
+        assert solution.h_max <= solution.h_upper <= solution.h_max + floor
+        assert solution.h_upper >= max(h_at(gmap, c) for c in grid) - 1e-14 * _tol_scale(gmap)
+        if solution.interval is None:
+            assert solution.h_max < -floor
+            continue
+        feasible += 1
+        c_lo, c_hi = solution.interval
+        assert -1.0 <= c_lo <= solution.c_star <= c_hi <= 1.0
+        assert min(h_at(gmap, c_lo), h_at(gmap, c_hi)) >= -floor
+    assert feasible >= 6

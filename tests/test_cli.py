@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gaussmap
 from gaussmap import GaussianMap, dilatation, partial_transpose_example, q_exchange_example
 from gaussmap.cli import main
 from gaussmap.io import load_map, save_map, save_state
-from helpers import random_symplectic
+from helpers import count_eigensolves, random_symplectic, seeded_map
 
 
 @pytest.fixture
@@ -98,11 +102,61 @@ def test_classify_budget_flag_parsed(fixtures, capsys, tmp_path):
     assert "gaussian-to-gaussian: true" in out
     assert "completely positive: false" in out
     assert "c*: " in out
+    assert "h_upper: " in out and "interval: [" in out and "eigensolves: " in out
     doc = json.loads(r.read_text())
     assert doc["method"] == "concave_h_maximum"
-    assert doc["certificate"]["h_max"] >= -1e-9
-    assert -1.0 <= doc["certificate"]["c_star"] <= 1.0
+    cert = doc["certificate"]
+    assert cert["h_max"] >= -1e-9
+    assert -1.0 <= cert["c_star"] <= 1.0
+    assert cert["h_max"] <= cert["h_upper"] <= cert["h_max"] + 1e-12
+    c_lo, c_hi = cert["interval"]
+    assert -1.0 <= c_lo <= cert["c_star"] <= c_hi <= 1.0
+    assert isinstance(cert["eigensolves"], int) and cert["eigensolves"] >= 2
     assert "seed" not in doc and "budget" not in doc
+
+
+def test_classify_certificate_null_where_unsolved(fixtures, capsys, tmp_path):
+    """A shortcut leaves the certificate null; a map that is not G2G has an
+    upper bound below zero and no interval."""
+    r = tmp_path / "dil2-report.json"
+    assert main(["classify", fixtures["dil2.json"], "--report", str(r)]) == 0
+    assert "interval" not in capsys.readouterr().out
+    cert = json.loads(r.read_text())["certificate"]
+    assert cert == {"h_max": None, "c_star": None, "h_upper": None, "interval": None, "eigensolves": None}
+    r = tmp_path / "nonprop-report.json"
+    assert main(["classify", fixtures["nonprop.json"], "--report", str(r)]) == 2
+    out = capsys.readouterr().out
+    assert "h_upper: " in out and "interval" not in out
+    doc = json.loads(r.read_text())
+    cert = doc["certificate"]
+    # D_K = diag(4 D, D): h(c) = -max(|1 - 4c|, |1 - c|), whose maximum is -0.6 at c = 0.4.
+    assert cert["h_max"] == pytest.approx(-0.6, abs=1e-12)
+    assert cert["c_star"] == pytest.approx(0.4, abs=1e-12)
+    assert cert["h_max"] <= cert["h_upper"] < 0.0
+    assert cert["interval"] is None
+    assert cert["eigensolves"] >= 3
+    assert doc["witness"]["objective"] == pytest.approx(-0.6, abs=1e-9)
+
+
+def test_decompose_and_classify_solve_h_once(tmp_path, monkeypatch):
+    """decompose reads its verdict and its factoring off one solve of h."""
+    p = tmp_path / "trial17.json"
+    save_map(p, seeded_map(3, 17))
+    count = count_eigensolves(monkeypatch)
+    assert main(["decompose", str(p)]) == 0
+    assert count[0] <= 50
+    count[0] = 0
+    assert main(["classify", str(p)]) == 0
+    assert count[0] <= 45
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported only where williamson needs it, so the CLI starts without it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gaussmap.__file__)))
+    code = "import sys, gaussmap.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_classify_bad_budget_flag(fixtures):

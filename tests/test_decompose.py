@@ -240,3 +240,12 @@ def test_factoring_cap_on_dilatation_size():
     base = partial_transpose_example(1.0)
     gmap = GaussianMap(K=base.K, alpha=(1.0 + 2.5e-5) * np.eye(4), y0=np.zeros(4))
     assert homogeneous_factoring_check(gmap) is None
+
+
+def test_factoring_tie_takes_no_transposition():
+    # h(c) = 2 - |1 - c| >= 0 on all of [-1, 1]: both ends give lam = 1.
+    gmap = GaussianMap(K=np.eye(4), alpha=2.0 * np.eye(4), y0=np.zeros(4))
+    lam, transposed, residual = homogeneous_factoring_check(gmap)
+    assert lam == 1.0
+    assert not transposed
+    assert np.array_equal(residual.K, gmap.K)
