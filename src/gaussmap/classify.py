@@ -50,14 +50,16 @@ class HSolution:
 
 @dataclass
 class ClassificationReport:
-    """Aggregate verdicts for one map.
+    """Aggregate verdicts for one map, on any number of modes.
 
-    method records how the Gaussian-to-Gaussian verdict was reached. A
-    False verdict carries a witness direction with a negative objective.
-    A verdict of solve_h carries its certificate (see HSolution), so a
-    True one has h(c_star) >= 0 up to tolerance, where
-    h(c) = lambda_min(alpha + i(D - c D_K)). The completely positive
-    shortcut carries c_star = 1; fields a shortcut did not compute are None.
+    method records how the Gaussian-to-Gaussian verdict was reached:
+    cp_implies_g2g, negative_alpha or concave_h_maximum. A False verdict
+    carries a witness direction with a negative objective. A verdict of
+    solve_h carries its certificate (see HSolution), so a True one has
+    h(c_star) >= 0 up to tolerance, where h(c) = lambda_min(alpha + i(D - c D_K)).
+    The completely positive exit carries c_star = 1; fields an exit did
+    not compute are None. Every verdict allows tol * _tol_scale, so
+    is_cp implies is_g2g, which implies is_classical_g2g.
     """
 
     is_g2g: bool
@@ -110,9 +112,23 @@ def direction_margin(gmap, w):
     )
 
 
+# Step of _max_h_witness either side of c_star; solve_h narrows its bracket to it.
+_WITNESS_STEP = 1e-6
+
+
 def _h_forms(gmap):
-    """(alpha + i D, i D_K): h(c) is the smallest eigenvalue of A - c G."""
-    return gmap.alpha + 1j * standard_form(gmap.n), 1j * delta_K(gmap)
+    """(A, G, scale) with A = alpha + i D and G = i D_K, so h(c) = lambda_min(A - c G).
+
+    scale, the largest of 1, max |alpha| and max |D_K|, multiplies every
+    tolerance (see _tol_scale).
+    """
+    dk = delta_K(gmap)
+    scale = max(1.0, float(np.max(np.abs(gmap.alpha))), float(np.max(np.abs(dk))))
+    return gmap.alpha + 1j * standard_form(gmap.n), 1j * dk, scale
+
+
+def _tol_scale(gmap):
+    return _h_forms(gmap)[2]
 
 
 def solve_h(gmap):
@@ -126,10 +142,10 @@ def solve_h(gmap):
     right, and evaluate h where they meet, which bounds max h from above.
     The solve stops when that bound is within floor = 1e-13 * _tol_scale
     of the best value and the bracket between the two tangent points,
-    which holds the maximizer, is narrower than the step of
-    _max_h_witness. Near a smooth maximum each cut halves the bracket; at
-    a kink (noiseless maps, where h is piecewise linear) the first two
-    tangents meet at the maximum itself.
+    which holds the maximizer, is no wider than _WITNESS_STEP. Near a
+    smooth maximum each cut halves the bracket; at a kink (noiseless
+    maps, where h is piecewise linear) the first two tangents meet at the
+    maximum itself.
 
     If h_max >= -floor, each end of the feasible set is found by Newton
     steps on h towards min(0, h_max), from the tangent at the innermost
@@ -140,8 +156,12 @@ def solve_h(gmap):
     Returns:
         HSolution.
     """
-    A, G = _h_forms(gmap)
-    floor = 1e-13 * _tol_scale(gmap)
+    return _solve_h(*_h_forms(gmap))
+
+
+def _solve_h(A, G, scale):
+    """solve_h on the forms of _h_forms."""
+    floor = 1e-13 * scale
     cuts = []
 
     def cut(c):
@@ -159,7 +179,7 @@ def solve_h(gmap):
             break
         x = (h_b - h_a + g_a * a - g_b * b) / (g_a - g_b)
         upper = h_a + g_a * (x - a)
-        if upper - best[1] <= floor and b - a <= 1e-6 or not a < x < b:
+        if upper - best[1] <= floor and b - a <= _WITNESS_STEP or not a < x < b:
             break
         p = cut(x)
         best = max(best, p, key=lambda q: q[1])
@@ -201,27 +221,27 @@ def max_h(gmap):
     return solution.h_max, solution.c_star
 
 
-def _max_h_witness(gmap, c_star, step=1e-6):
+def _max_h_witness(gmap, A, G, c_star):
     """A unit direction whose objective attains h_max = h(c_star).
 
-    A bottom eigenvector w of alpha + i(D - c D_K) has objective h(c)
+    A bottom eigenvector w of A - c G (see _h_forms) has objective h(c)
     when k(w) = 0, and also at an endpoint c = 1 (c = -1) when k(w) <= 0
     (k(w) >= 0). Since h rises up to c_star, the bottom eigenvector v_l
     just left of c_star has k <= 0 and v_r just right of it k >= 0. With
     their phases aligned, the real combination v_l + t v_r with k = 0
-    lies in the bottom eigenspace at c_star up to O(step**2). No
+    lies in the bottom eigenspace at c_star up to O(_WITNESS_STEP**2). No
     direction goes below h_max, so the candidate with the smallest
-    recomputed objective is kept.
+    objective, recomputed from gmap by direction_margin, is kept.
 
     Returns:
         (w, direction_margin(gmap, w)).
     """
-    A, G = _h_forms(gmap)
 
     def bottom(c):
         return np.linalg.eigh(A - c * G)[1][:, 0]
 
-    v_l, v_r = bottom(max(c_star - step, -1.0)), bottom(min(c_star + step, 1.0))
+    v_l = bottom(max(c_star - _WITNESS_STEP, -1.0))
+    v_r = bottom(min(c_star + _WITNESS_STEP, 1.0))
     overlap = np.vdot(v_l, v_r)
     if abs(overlap) > 0.0:
         v_r = v_r * (np.conj(overlap) / abs(overlap))
@@ -237,41 +257,9 @@ def _max_h_witness(gmap, c_star, step=1e-6):
     return min(((w, direction_margin(gmap, w)) for w in candidates), key=lambda p: p[1])
 
 
-def _tol_scale(gmap):
-    return max(1.0, float(np.max(np.abs(gmap.alpha))), float(np.max(np.abs(delta_K(gmap)))))
-
-
 def is_noiseless(gmap, tol=DEFAULT_TOL):
     """Whether alpha = 0 within tol * _tol_scale, the maps decompose_no_noise takes."""
     return float(np.max(np.abs(gmap.alpha))) <= tol * _tol_scale(gmap)
-
-
-def _alpha_min_eig(gmap):
-    return float(np.linalg.eigvalsh(gmap.alpha)[0])
-
-
-def _one_mode_g2g(gmap, atol):
-    """Determinant test: alpha >= 0 and sqrt(det alpha) >= 1 - |det K|, within atol."""
-    det_a = max(float(np.linalg.det(gmap.alpha)), 0.0)
-    det_k = float(np.linalg.det(gmap.K))
-    return _alpha_min_eig(gmap) >= -atol and math.sqrt(det_a) >= 1.0 - abs(det_k) - atol
-
-
-def _one_mode_margin(gmap):
-    """Exact objective minimum for one mode, via the sign-resolved forms."""
-    detk = float(np.linalg.det(gmap.K))
-    alpha = gmap.alpha
-    if abs(detk) >= 1.0:
-        w_a, v_a = np.linalg.eigh(alpha)
-        w = np.asarray(v_a[:, 0], dtype=complex)
-        return float(w_a[0]), w / np.linalg.norm(w)
-    delta = standard_form(1)
-    B = -(1.0 - abs(detk)) * delta
-    M = np.block([[alpha, B], [B.T, alpha]])
-    w_m, v_m = np.linalg.eigh(M)
-    y = v_m[:, 0]
-    w = y[:2] + 1j * y[2:]
-    return float(w_m[0]), w / np.linalg.norm(w)
 
 
 def is_cp(gmap, tol=DEFAULT_TOL):
@@ -281,59 +269,49 @@ def is_cp(gmap, tol=DEFAULT_TOL):
     with the determinant test sqrt(det alpha) >= |1 - det K| whenever
     alpha is positive semidefinite.
     """
-    A, G = _h_forms(gmap)
-    return bool(np.linalg.eigvalsh(A - G)[0] >= -tol * _tol_scale(gmap))
+    A, G, scale = _h_forms(gmap)
+    return bool(np.linalg.eigvalsh(A - G)[0] >= -tol * scale)
 
 
 def is_classical_g2g(gmap, tol=DEFAULT_TOL):
-    """Classical admissibility: alpha positive semidefinite within tol."""
-    return bool(_alpha_min_eig(gmap) >= -tol * max(1.0, float(np.max(np.abs(gmap.alpha)))))
+    """Classical admissibility: alpha positive semidefinite within tol * _tol_scale."""
+    return bool(np.linalg.eigvalsh(gmap.alpha)[0] >= -tol * _tol_scale(gmap))
 
 
 def is_g2g(gmap, tol=DEFAULT_TOL):
     """Decide whether the map sends all Gaussian states to Gaussian states.
 
-    One mode is decided by the determinant test: alpha positive
-    semidefinite and sqrt(det alpha) >= 1 - |det K|. Two or more modes
-    take the verdict of classify, which is max_h(gmap) >= 0 unless a
-    shortcut decides. Every comparison allows tol times _tol_scale.
+    The verdict of classify, on any number of modes: max_h(gmap) >= 0
+    unless complete positivity or a negative eigenvalue of alpha decides
+    first. Every comparison allows tol times _tol_scale.
 
     Returns:
         True or False.
     """
-    if gmap.n == 1:
-        return _one_mode_g2g(gmap, tol * _tol_scale(gmap))
     return classify(gmap, tol=tol).is_g2g
 
 
 def classify(gmap, tol=DEFAULT_TOL):
-    """Full classification report for one map.
+    """Full classification report for one map, on any number of modes.
 
-    Verdicts are consistent with is_g2g / is_cp / is_classical_g2g; the
-    method field records how the Gaussian-to-Gaussian verdict was
-    reached. A False verdict carries a violating direction, and a verdict
-    from solve_h carries its certificate (see ClassificationReport).
+    One decision sequence, with every comparison allowing
+    atol = tol * _tol_scale: the map is G2G if it is completely positive
+    (h(1) >= -atol); it is not if alpha has an eigenvalue below -atol,
+    whose real eigenvector is the witness; otherwise solve_h decides by
+    h_max >= -atol, and a False verdict takes its witness from
+    _max_h_witness. For one mode D_K = det K D, so this reproduces the
+    determinant test alpha >= 0 and sqrt(det alpha) >= 1 - |det K|. The
+    forms of h are built once and shared by every step. A False verdict
+    carries a violating direction, and a verdict from solve_h carries its
+    certificate (see ClassificationReport).
     """
-    atol = tol * _tol_scale(gmap)
-    cp = is_cp(gmap, tol=tol)
-    report = partial(
-        ClassificationReport, is_cp=cp, is_classical_g2g=is_classical_g2g(gmap, tol=tol)
-    )
-
-    if gmap.n == 1:
-        margin, w = _one_mode_margin(gmap)
-        if _one_mode_g2g(gmap, atol):
-            return report(is_g2g=True, margin=max(margin, 0.0), method="one_mode_determinant")
-        return report(
-            is_g2g=False,
-            witness=Witness(w=w, objective=margin),
-            margin=margin,
-            method="one_mode_determinant",
-        )
-
+    A, G, scale = _h_forms(gmap)
+    atol = tol * scale
+    w_a, v_a = np.linalg.eigh(gmap.alpha)
+    cp = bool(np.linalg.eigvalsh(A - G)[0] >= -atol)
+    report = partial(ClassificationReport, is_cp=cp, is_classical_g2g=bool(w_a[0] >= -atol))
     if cp:
         return report(is_g2g=True, method="cp_implies_g2g", c_star=1.0)
-    w_a, v_a = np.linalg.eigh(gmap.alpha)
     if w_a[0] < -atol:
         a_min = float(w_a[0])
         return report(
@@ -342,10 +320,10 @@ def classify(gmap, tol=DEFAULT_TOL):
             margin=a_min,
             method="negative_alpha",
         )
-    solution = solve_h(gmap)
+    solution = _solve_h(A, G, scale)
     if solution.h_max >= -atol:
         return report(is_g2g=True, margin=max(solution.h_max, 0.0), **vars(solution))
-    w, objective = _max_h_witness(gmap, solution.c_star)
+    w, objective = _max_h_witness(gmap, A, G, solution.c_star)
     return report(
         is_g2g=False,
         witness=Witness(w=w, objective=objective),
@@ -368,7 +346,8 @@ def decompose_one_mode(gmap, tol=DEFAULT_TOL):
     det K > 1 factors through a dilatation of lam = sqrt(det K);
     -1 <= det K < 0 factors through a transposition;
     det K < -1 needs both. Boundaries are classified inclusively, and the
-    order of factors is fixed as K = S . T^b . (lam identity).
+    order of factors is fixed as K = S . T^b . (lam identity). The map
+    must first pass classify, which decides one mode like any other.
 
     Raises:
         ValueError: if the map has more than one mode or is not
@@ -376,7 +355,7 @@ def decompose_one_mode(gmap, tol=DEFAULT_TOL):
     """
     if gmap.n != 1:
         raise ValueError(f"one-mode decomposition requires n = 1, got n = {gmap.n}")
-    if not is_g2g(gmap, tol=tol):
+    if not classify(gmap, tol=tol).is_g2g:
         raise ValueError("map is not Gaussian-to-Gaussian; no normal form exists")
     d = float(np.linalg.det(gmap.K))
     dilated, transposed = abs(d) > 1.0 + tol, d < -tol

@@ -4,15 +4,14 @@ Subcommands: validate, classify, decompose, apply, probe, limit-check.
 Human-readable summaries go to standard output, machine-readable
 reports to files (--report / --csv), diagnostics to standard error.
 
-Gaussian-to-Gaussian verdicts are exact: the determinant test for one
-mode, for more modes the maximum of the concave function
-h(c) = lambda_min(alpha + i(D - c D_K)) over c in [-1, 1], found by one
-cutting-plane solve. When that solve decided the verdict, classify
-prints the maximum h_max, its argument c*, the proven upper bound
-h_upper, the feasible interval [c_lo, c_hi] of h and the number of
-eigensolves; a report carries them under "certificate". decompose reads
-both its verdict and the dilatation-transposition factoring of a map of
-two or more modes off that same solve.
+Gaussian-to-Gaussian verdicts are exact on any number of modes: the
+maximum of the concave function h(c) = lambda_min(alpha + i(D - c D_K))
+over c in [-1, 1], found by one cutting-plane solve. When that solve
+decided the verdict, classify prints the maximum h_max, its argument c*,
+the proven upper bound h_upper, the feasible interval [c_lo, c_hi] of h
+and the number of eigensolves; a report carries them under
+"certificate". decompose decides a map once, and reads the factoring of
+two or more modes off the solve that gave the verdict.
 
 Exit codes: 0 ok/true, 1 I/O or schema error, 2 invalid state or map
 not Gaussian-to-Gaussian, 4 no decomposition exists.
@@ -31,7 +30,6 @@ from .classify import (
     decompose_no_noise,
     decompose_one_mode,
     factor_interval,
-    is_g2g,
     is_noiseless,
 )
 from .fockprobe import airy_limit_error, probe_fock_mixture
@@ -184,22 +182,19 @@ def cmd_decompose(args):
         "version": __version__,
         "tol": args.tol,
     }
-
+    nf = None
     if gmap.n > 1 and is_noiseless(gmap, tol=args.tol):
         nf = decompose_no_noise(gmap, tol=args.tol)
         if nf.kind == "none":
             print(f"no normal form: {nf.note}")
             payload.update(normal_form=_normal_form_payload(nf))
             return _finish(args, payload, EXIT_INVALID)
-        label = "scale"
-    elif gmap.n == 1 and is_g2g(gmap, tol=args.tol):
-        nf = decompose_one_mode(gmap, tol=args.tol)
-        label = "lam"
-    elif gmap.n == 1 or not (report := classify(gmap, tol=args.tol)).is_g2g:
-        print("map is not Gaussian-to-Gaussian; no normal form exists")
-        payload.update(normal_form=None, note="not Gaussian-to-Gaussian")
-        return _finish(args, payload, EXIT_INVALID)
-    else:
+    elif gmap.n == 1:
+        try:
+            nf = decompose_one_mode(gmap, tol=args.tol)
+        except ValueError:  # raised only when the map is not G2G
+            pass
+    elif (report := classify(gmap, tol=args.tol)).is_g2g:
         # A completely positive map factors with lam = 1: h(1) >= 0.
         interval = (1.0, 1.0) if report.is_cp else report.interval
         factoring = factor_interval(gmap, interval, tol=args.tol)
@@ -216,10 +211,14 @@ def cmd_decompose(args):
             kind="homogeneous_factoring", lam=lam, transposed=transposed,
             S=residual_map.K, alpha=residual_map.alpha, y0=residual_map.y0,
         )
-        label = "lam"
+    if nf is None:
+        print("map is not Gaussian-to-Gaussian; no normal form exists")
+        payload.update(normal_form=None, note="not Gaussian-to-Gaussian")
+        return _finish(args, payload, EXIT_INVALID)
     residual = _recomposition_residual(gmap, nf.lam, nf.transposed, nf.S)
     payload.update(normal_form=_normal_form_payload(nf), recomposition_residual=residual)
     print(f"kind: {nf.kind}")
+    label = "scale" if nf.kind == "homogeneous" else "lam"
     print(f"{label}: {_fmt(nf.lam)}  transposed: {str(nf.transposed).lower()}")
     print(f"recomposition residual: {_fmt(residual)}")
     return _finish(args, payload, EXIT_OK)

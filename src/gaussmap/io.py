@@ -35,6 +35,8 @@ def _as_array(doc, key, shape, path):
         raise ValueError(
             f"{path}: field {key!r} has shape {arr.shape}, expected {shape}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{path}: field {key!r} has a NaN or infinite entry")
     return arr
 
 
@@ -58,8 +60,9 @@ def load_map(path):
 
     Raises:
         OSError: unreadable file.
-        ValueError: malformed JSON, wrong shapes, or an alpha that is
-            not symmetric within 1e-9 (schema errors).
+        ValueError: malformed JSON, wrong shapes, a NaN or infinite
+            entry, or an alpha that is not symmetric within 1e-9 (schema
+            errors).
     """
     doc = _load_doc(path)
     _check_version(doc, path)
@@ -80,9 +83,9 @@ def load_map(path):
 def load_state_arrays(path):
     """Read a state file into raw (mean, cov) arrays.
 
-    Shape and symmetry are schema requirements; whether cov is a valid
-    covariance is a separate question left to the caller, so that an
-    unphysical but well-formed state can still be inspected.
+    Shape, finite entries and symmetry are schema requirements; whether
+    cov is a valid covariance is a separate question left to the caller,
+    so that an unphysical but well-formed state can still be inspected.
     """
     doc = _load_doc(path)
     _check_version(doc, path)

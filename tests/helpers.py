@@ -109,3 +109,26 @@ def count_eigensolves(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return count
+
+
+def one_mode_margin(gmap):
+    """Exact minimum of the direction_margin objective over unit directions, one mode.
+
+    With t = 1 - |det K|, the objective is a + |k| - |d| = a - t |d| for
+    |det K| < 1, and the minimum of a - t |d| over unit w is the bottom
+    eigenvalue of the real 4x4 form [[alpha, -t D], [t D, alpha]] on
+    (Re w, Im w). For |det K| >= 1 a real eigenvector of alpha attains it.
+
+    Returns:
+        (minimum, unit direction attaining it).
+    """
+    detk = float(np.linalg.det(gmap.K))
+    alpha = gmap.alpha
+    if abs(detk) >= 1.0:
+        w_a, v_a = np.linalg.eigh(alpha)
+        return float(w_a[0]), np.asarray(v_a[:, 0], dtype=complex)
+    B = -(1.0 - abs(detk)) * standard_form(1)
+    w_m, v_m = np.linalg.eigh(np.block([[alpha, B], [B.T, alpha]]))
+    y = v_m[:, 0]
+    w = y[:2] + 1j * y[2:]
+    return float(w_m[0]), w / np.linalg.norm(w)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from gaussmap import (
 from gaussmap.classify import _tol_scale
 from helpers import (
     count_eigensolves,
+    one_mode_margin,
     random_multimode,
     random_symplectic,
     random_valid_cov,
@@ -165,9 +168,11 @@ def test_classify_report_invariants_random():
 
 
 def test_minimizer_matches_determinant_criterion_one_mode():
-    """The maximum of h(c) decides one mode like the determinant test."""
+    """The maximum of h(c), and classify itself, decide one mode like the
+    determinant test. A reported margin is the exact objective minimum of
+    the one-mode oracle, and a False verdict's witness recomputes below 0."""
     rng = np.random.default_rng(8)
-    checked = 0
+    checked = margins = witnesses = 0
     for _ in range(300):
         gmap = random_one_mode(rng)
         det_a = max(np.linalg.det(gmap.alpha), 0.0)
@@ -179,8 +184,20 @@ def test_minimizer_matches_determinant_criterion_one_mode():
         assert (h_max >= -1e-9) == (margin > 0), (
             f"maximum {h_max:.3e} disagrees with margin {margin:.3e}"
         )
+        report = classify(gmap)
+        assert report.is_g2g is bool(margin > 0)
+        scale = _tol_scale(gmap)
+        oracle, _ = one_mode_margin(gmap)
+        if report.margin is not None:
+            expected = max(oracle, 0.0) if report.is_g2g else oracle
+            assert abs(report.margin - expected) <= 1e-12 * scale
+            margins += 1
+        if not report.is_g2g:
+            assert direction_margin(gmap, report.witness.w) < 0.0
+            witnesses += 1
         checked += 1
     assert checked > 250
+    assert margins > 100 and witnesses > 5
 
 
 def test_minimizer_two_mode_counterexamples_stay_nonnegative():
@@ -455,3 +472,53 @@ def test_solve_h_upper_bound_and_feasible_ends(n, monkeypatch):
         assert -1.0 <= c_lo <= solution.c_star <= c_hi <= 1.0
         assert min(h_at(gmap, c_lo), h_at(gmap, c_hi)) >= -floor
     assert feasible >= 6
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_alpha_threshold_shared_by_g2g_and_classical(n):
+    """One threshold, tol * _tol_scale, reads alpha for both verdicts: with
+    K = 100 I the scale is 1e4, so an eigenvalue of -1e-6 is zero for both,
+    and CP implies G2G implies classical."""
+    alpha = np.eye(2 * n)
+    alpha[-1, -1] = -1e-6
+    gmap = GaussianMap(K=100.0 * np.eye(2 * n), alpha=alpha)
+    report = classify(gmap)
+    assert report.is_g2g is True and report.is_classical_g2g is True
+    assert is_classical_g2g(gmap) is True
+    rng = np.random.default_rng(61 + n)
+    for _ in range(100):
+        gmap = random_multimode(rng, n)
+        gmap.alpha -= rng.uniform(0.0, 0.3) * np.eye(2 * n)
+        report = classify(gmap)
+        assert report.is_classical_g2g is is_classical_g2g(gmap)
+        assert not report.is_cp or report.is_g2g
+        assert not report.is_g2g or report.is_classical_g2g
+
+
+def test_classify_computes_delta_K_once_per_decision(monkeypatch):
+    """Every exit of classify shares one K D K^T; only the witness check,
+    direction_margin, computes it again from the map."""
+    module = importlib.import_module("gaussmap.classify")
+    calls = {"delta_K": 0, "direction_margin": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    maps = [
+        (one_mode_map(0.5 * np.eye(2), np.eye(2)), "cp_implies_g2g", True),
+        (one_mode_map(0.5 * np.eye(2), np.diag([1.0, -0.5])), "negative_alpha", False),
+        (dilatation(2.0, 1), "concave_h_maximum", True),
+        (dilatation(0.5, 1), "concave_h_maximum", False),
+        (partial_transpose_example(1.0), "concave_h_maximum", True),
+        (seeded_map(2, 153), "concave_h_maximum", False),
+    ]
+    for gmap, method, verdict in maps:
+        calls.update(delta_K=0, direction_margin=0)
+        report = module.classify(gmap)
+        assert (report.method, report.is_g2g) == (method, verdict)
+        assert calls["delta_K"] == 1 + calls["direction_margin"]
+        solved_false = method == "concave_h_maximum" and not verdict
+        assert calls["direction_margin"] >= 2 if solved_false else calls["direction_margin"] == 0

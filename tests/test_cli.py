@@ -116,13 +116,17 @@ def test_classify_budget_flag_parsed(fixtures, capsys, tmp_path):
 
 
 def test_classify_certificate_null_where_unsolved(fixtures, capsys, tmp_path):
-    """A shortcut leaves the certificate null; a map that is not G2G has an
-    upper bound below zero and no interval."""
+    """A one-mode map carries the certificate of its solve; a map that is not
+    G2G has an upper bound below zero and no interval."""
     r = tmp_path / "dil2-report.json"
     assert main(["classify", fixtures["dil2.json"], "--report", str(r)]) == 0
-    assert "interval" not in capsys.readouterr().out
+    assert "interval: [" in capsys.readouterr().out
     cert = json.loads(r.read_text())["certificate"]
-    assert cert == {"h_max": None, "c_star": None, "h_upper": None, "interval": None, "eigensolves": None}
+    # D_K = 4 D and alpha = 0: h(c) = -|1 - 4c|, whose maximum is 0 at c = 0.25.
+    assert cert["h_max"] == pytest.approx(0.0, abs=1e-12)
+    assert cert["c_star"] == pytest.approx(0.25, abs=1e-12)
+    c_lo, c_hi = cert["interval"]
+    assert c_lo <= cert["c_star"] <= c_hi
     r = tmp_path / "nonprop-report.json"
     assert main(["classify", fixtures["nonprop.json"], "--report", str(r)]) == 2
     out = capsys.readouterr().out
@@ -139,7 +143,8 @@ def test_classify_certificate_null_where_unsolved(fixtures, capsys, tmp_path):
 
 
 def test_decompose_and_classify_solve_h_once(tmp_path, monkeypatch):
-    """decompose reads its verdict and its factoring off one solve of h."""
+    """decompose reads its verdict and its factoring off one solve of h, and
+    decides a one-mode map with the eigensolves of exactly one classify."""
     p = tmp_path / "trial17.json"
     save_map(p, seeded_map(3, 17))
     count = count_eigensolves(monkeypatch)
@@ -148,6 +153,14 @@ def test_decompose_and_classify_solve_h_once(tmp_path, monkeypatch):
     count[0] = 0
     assert main(["classify", str(p)]) == 0
     assert count[0] <= 45
+    p1 = tmp_path / "one-mode.json"
+    save_map(p1, GaussianMap(K=np.diag([3.0, -1.0]), alpha=0.5 * np.eye(2)))
+    count[0] = 0
+    assert main(["decompose", str(p1)]) == 0
+    decompose_solves = count[0]
+    count[0] = 0
+    assert main(["classify", str(p1)]) == 0
+    assert decompose_solves == count[0] >= 3
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -338,3 +351,45 @@ def test_map_file_shape_mismatch_rejected(tmp_path):
     p.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_map(p)
+
+
+def _write_non_finite(path, field, index, token):
+    """Set one entry of a JSON file to the literal NaN, Infinity or -Infinity."""
+    doc = json.loads(path.read_text())
+    target = doc[field]
+    for i in index[:-1]:
+        target = target[i]
+    target[index[-1]] = float(token.replace("Infinity", "inf"))
+    path.write_text(json.dumps(doc))
+    assert token in path.read_text()
+
+
+NON_FINITE_MAPS = [
+    ("alpha", 2, (1, 1), "NaN"),
+    ("K", 1, (0, 0), "NaN"),
+    ("K", 1, (1, 0), "Infinity"),
+    ("y0", 1, (0,), "-Infinity"),
+]
+
+
+@pytest.mark.parametrize("field, n, index, token", NON_FINITE_MAPS)
+@pytest.mark.parametrize("command", ["classify", "decompose"])
+def test_map_file_non_finite_is_schema_error(tmp_path, capsys, field, n, index, token, command):
+    """NaN and Infinity, which Python's json accepts, are rejected with exit 1."""
+    p = tmp_path / "bad-map.json"
+    save_map(p, dilatation(2.0, n))
+    _write_non_finite(p, field, index, token)
+    assert main([command, str(p)]) == 1
+    captured = capsys.readouterr()
+    assert f"field '{field}' has a NaN or infinite entry" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("field, index, token", [("cov", (0, 1), "NaN"), ("mean", (1,), "Infinity")])
+def test_state_file_non_finite_is_schema_error(fixtures, tmp_path, capsys, field, index, token):
+    p = tmp_path / "bad-state.json"
+    save_state(p, np.zeros(2), np.eye(2))
+    _write_non_finite(p, field, index, token)
+    assert main(["validate", str(p)]) == 1
+    assert main(["apply", fixtures["dil2.json"], str(p)]) == 1
+    assert capsys.readouterr().err.count(f"field '{field}' has a NaN or infinite entry") == 2
