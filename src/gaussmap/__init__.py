@@ -37,20 +37,15 @@ from .classify import (
     delta_K,
     direction_margin,
     solve_h,
-    max_h,
     is_g2g,
     is_cp,
     is_classical_g2g,
     classify,
-    decompose_one_mode,
-    decompose_no_noise,
-    is_noiseless,
+    decompose,
     state_quadratic_infimum,
     rescale_domain,
     partial_transpose_example,
     q_exchange_example,
-    factor_interval,
-    homogeneous_factoring_check,
 )
 from .fockprobe import (
     FockCoefficients,

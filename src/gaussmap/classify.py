@@ -77,21 +77,23 @@ class ClassificationReport:
 
 @dataclass
 class NormalForm:
-    """Factorization of a map as S . (transposition) . (lambda identity).
+    """Factorization K = S . T^b . (lam identity) of a map, as decompose reads it.
 
-    kind is one of cp_only, dilatation_then_cp, transpose_then_cp,
-    dilatation_transpose_then_cp, homogeneous, none. For the homogeneous
-    kind (noiseless maps) lam holds the scale kappa. The residual map
-    (S, alpha, y0) is the completely positive factor.
+    kind names the rule that gave it: cp_only, dilatation_then_cp,
+    transpose_then_cp or dilatation_transpose_then_cp for one mode (the
+    determinant ranges), homogeneous for a noiseless map on two or more
+    modes (lam is the scale sqrt|c| of K D K.T = c D, S symplectic), and
+    homogeneous_factoring for the rest (read off the feasible interval of
+    h). transposed is b. The residual map (S, alpha, y0) is the
+    completely positive factor.
     """
 
     kind: str
-    lam: Optional[float] = None
-    transposed: bool = False
-    S: Optional[np.ndarray] = None
-    alpha: Optional[np.ndarray] = None
-    y0: Optional[np.ndarray] = None
-    note: Optional[str] = None
+    lam: float
+    transposed: bool
+    S: np.ndarray
+    alpha: np.ndarray
+    y0: np.ndarray
 
 
 def delta_K(gmap):
@@ -112,7 +114,8 @@ def direction_margin(gmap, w):
     )
 
 
-# Step of _max_h_witness either side of c_star; solve_h narrows its bracket to it.
+# Largest width of the final bracket of solve_h; _max_h_witness combines the
+# bottom eigenvectors at its two ends, so its objective is off by O(width**2).
 _WITNESS_STEP = 1e-6
 
 
@@ -153,26 +156,42 @@ def solve_h(gmap):
     none). By concavity the steps stay outside the set; the first iterate
     with h >= -floor is the end, so both ends are feasible.
 
+    The map is Gaussian-to-Gaussian exactly when h_max >= 0. With the
+    real forms a = w* alpha w, d = i w* D w and k = i w* D_K w, the
+    objective of direction_margin is a + |k| - |d|. For unit w and
+    |c| <= 1 it is at least min(a + d - c k, a - d + c k), the form of
+    alpha + i(D - c D_K) at w and at its complex conjugate, hence at
+    least h(c): no direction goes below the maximum. The converse, that a
+    nonnegative objective everywhere forces h(c) >= 0 at some c, is the
+    complex S-lemma, because the joint numerical range of two Hermitian
+    forms is convex (Polik and Terlaky, "A survey of the S-lemma", SIAM
+    Rev. 2007).
+
     Returns:
         HSolution.
     """
-    return _solve_h(*_h_forms(gmap))
+    return _solve_h(*_h_forms(gmap))[0]
 
 
 def _solve_h(A, G, scale):
-    """solve_h on the forms of _h_forms."""
+    """solve_h on the forms of _h_forms.
+
+    Returns:
+        (HSolution, (v_lo, v_hi)), the bottom eigenvectors at the two ends
+        of the final bracket of the maximum, for _max_h_witness.
+    """
     floor = 1e-13 * scale
     cuts = []
 
     def cut(c):
         w, v = np.linalg.eigh(A - c * G)
-        cuts.append((c, float(w[0]), -float(np.vdot(v[:, 0], G @ v[:, 0]).real)))
+        cuts.append((c, float(w[0]), -float(np.vdot(v[:, 0], G @ v[:, 0]).real), v[:, 0]))
         return cuts[-1]
 
     lo, hi = cut(-1.0), cut(1.0)
     best = max(lo, hi, key=lambda p: p[1])
     while True:
-        (a, h_a, g_a), (b, h_b, g_b) = lo, hi
+        (a, h_a, g_a, _), (b, h_b, g_b, _) = lo, hi
         if g_a <= 0.0 or g_b >= 0.0:
             # h is monotone on [a, b], and a tangent there bounds it by its end value.
             upper = h_a if g_a <= 0.0 else h_b
@@ -188,60 +207,35 @@ def _solve_h(A, G, scale):
 
     def end(side):
         outside = [p for p in cuts if side * (p[0] - c_star) > 0.0 and p[1] < -floor]
-        c, h, g = min(outside, key=lambda p: abs(p[0] - c_star), default=(side, 0.0, 0.0))
+        c, h, g, _ = min(outside, key=lambda p: abs(p[0] - c_star), default=(side, 0.0, 0.0, None))
         while h < -floor:
             x = c + (min(0.0, h_max) - h) / g
             if not 0.0 < side * (x - c_star) < side * (c - c_star):
                 return c_star
-            c, h, g = cut(x)
+            c, h, g, _ = cut(x)
         return c
 
     interval = (end(-1.0), end(1.0)) if h_max >= -floor else None
-    return HSolution(h_max, c_star, max(upper, h_max), interval, len(cuts))
+    return HSolution(h_max, c_star, max(upper, h_max), interval, len(cuts)), (lo[3], hi[3])
 
 
-def max_h(gmap):
-    """Maximum over c in [-1, 1] of h(c) = lambda_min(alpha + i(D - c D_K)).
-
-    The map is Gaussian-to-Gaussian exactly when the maximum is
-    nonnegative. With the real forms a = w* alpha w, d = i w* D w and
-    k = i w* D_K w, the objective of direction_margin is a + |k| - |d|.
-    For unit w and |c| <= 1 it is at least min(a + d - c k, a - d + c k),
-    the form of alpha + i(D - c D_K) at w and at its complex conjugate,
-    hence at least h(c): no direction goes below the maximum. The
-    converse, that a nonnegative objective everywhere forces h(c) >= 0
-    at some c, is the complex S-lemma, because the joint numerical range
-    of two Hermitian forms is convex (Polik and Terlaky, "A survey of
-    the S-lemma", SIAM Rev. 2007). solve_h finds the maximum.
-
-    Returns:
-        (h_max, c_star) with h(c_star) = h_max.
-    """
-    solution = solve_h(gmap)
-    return solution.h_max, solution.c_star
-
-
-def _max_h_witness(gmap, A, G, c_star):
+def _max_h_witness(gmap, G, v_l, v_r):
     """A unit direction whose objective attains h_max = h(c_star).
 
     A bottom eigenvector w of A - c G (see _h_forms) has objective h(c)
     when k(w) = 0, and also at an endpoint c = 1 (c = -1) when k(w) <= 0
-    (k(w) >= 0). Since h rises up to c_star, the bottom eigenvector v_l
-    just left of c_star has k <= 0 and v_r just right of it k >= 0. With
-    their phases aligned, the real combination v_l + t v_r with k = 0
-    lies in the bottom eigenspace at c_star up to O(_WITNESS_STEP**2). No
+    (k(w) >= 0). v_l and v_r are the bottom eigenvectors at the two ends
+    of the final bracket of _solve_h, which holds c_star as one of its
+    ends: h rises at the left end, so k(v_l) <= 0, and falls at the right
+    end, so k(v_r) >= 0, unless the maximum is at c = -1 or 1. With their
+    phases aligned, the real combination v_l + t v_r with k = 0 lies in
+    the bottom eigenspace at c_star up to O(_WITNESS_STEP**2). No
     direction goes below h_max, so the candidate with the smallest
     objective, recomputed from gmap by direction_margin, is kept.
 
     Returns:
         (w, direction_margin(gmap, w)).
     """
-
-    def bottom(c):
-        return np.linalg.eigh(A - c * G)[1][:, 0]
-
-    v_l = bottom(max(c_star - _WITNESS_STEP, -1.0))
-    v_r = bottom(min(c_star + _WITNESS_STEP, 1.0))
     overlap = np.vdot(v_l, v_r)
     if abs(overlap) > 0.0:
         v_r = v_r * (np.conj(overlap) / abs(overlap))
@@ -255,11 +249,6 @@ def _max_h_witness(gmap, A, G, c_star):
         w = v_l + t * v_r
         candidates.append(w / np.linalg.norm(w))
     return min(((w, direction_margin(gmap, w)) for w in candidates), key=lambda p: p[1])
-
-
-def is_noiseless(gmap, tol=DEFAULT_TOL):
-    """Whether alpha = 0 within tol * _tol_scale, the maps decompose_no_noise takes."""
-    return float(np.max(np.abs(gmap.alpha))) <= tol * _tol_scale(gmap)
 
 
 def is_cp(gmap, tol=DEFAULT_TOL):
@@ -281,9 +270,9 @@ def is_classical_g2g(gmap, tol=DEFAULT_TOL):
 def is_g2g(gmap, tol=DEFAULT_TOL):
     """Decide whether the map sends all Gaussian states to Gaussian states.
 
-    The verdict of classify, on any number of modes: max_h(gmap) >= 0
-    unless complete positivity or a negative eigenvalue of alpha decides
-    first. Every comparison allows tol times _tol_scale.
+    The verdict of classify, on any number of modes: h_max >= 0 (see
+    solve_h) unless complete positivity or a negative eigenvalue of alpha
+    decides first. Every comparison allows tol times _tol_scale.
 
     Returns:
         True or False.
@@ -305,7 +294,11 @@ def classify(gmap, tol=DEFAULT_TOL):
     carries a violating direction, and a verdict from solve_h carries its
     certificate (see ClassificationReport).
     """
-    A, G, scale = _h_forms(gmap)
+    return _classify(gmap, *_h_forms(gmap), tol)
+
+
+def _classify(gmap, A, G, scale, tol):
+    """classify on the forms of _h_forms."""
     atol = tol * scale
     w_a, v_a = np.linalg.eigh(gmap.alpha)
     cp = bool(np.linalg.eigvalsh(A - G)[0] >= -atol)
@@ -320,10 +313,10 @@ def classify(gmap, tol=DEFAULT_TOL):
             margin=a_min,
             method="negative_alpha",
         )
-    solution = _solve_h(A, G, scale)
+    solution, bracket = _solve_h(A, G, scale)
     if solution.h_max >= -atol:
         return report(is_g2g=True, margin=max(solution.h_max, 0.0), **vars(solution))
-    w, objective = _max_h_witness(gmap, A, G, solution.c_star)
+    w, objective = _max_h_witness(gmap, G, *bracket)
     return report(
         is_g2g=False,
         witness=Witness(w=w, objective=objective),
@@ -336,85 +329,6 @@ def _residual(gmap, lam, transposed):
     """The factor (K T^b / lam, alpha, y0) left by K = K' . T^b . (lam identity)."""
     T_b = transposition_matrix(gmap.n) if transposed else np.eye(2 * gmap.n)
     return GaussianMap(K=(gmap.K @ T_b) / lam, alpha=gmap.alpha.copy(), y0=gmap.y0.copy())
-
-
-def decompose_one_mode(gmap, tol=DEFAULT_TOL):
-    """Normal form of a one-mode Gaussian-to-Gaussian map.
-
-    The four determinant ranges give the four kinds:
-    0 <= det K <= 1 is already completely positive (cp_only);
-    det K > 1 factors through a dilatation of lam = sqrt(det K);
-    -1 <= det K < 0 factors through a transposition;
-    det K < -1 needs both. Boundaries are classified inclusively, and the
-    order of factors is fixed as K = S . T^b . (lam identity). The map
-    must first pass classify, which decides one mode like any other.
-
-    Raises:
-        ValueError: if the map has more than one mode or is not
-            Gaussian-to-Gaussian.
-    """
-    if gmap.n != 1:
-        raise ValueError(f"one-mode decomposition requires n = 1, got n = {gmap.n}")
-    if not classify(gmap, tol=tol).is_g2g:
-        raise ValueError("map is not Gaussian-to-Gaussian; no normal form exists")
-    d = float(np.linalg.det(gmap.K))
-    dilated, transposed = abs(d) > 1.0 + tol, d < -tol
-    lam = math.sqrt(abs(d)) if dilated else 1.0
-    kind = {
-        (False, False): "cp_only",
-        (True, False): "dilatation_then_cp",
-        (False, True): "transpose_then_cp",
-        (True, True): "dilatation_transpose_then_cp",
-    }[dilated, transposed]
-    residual = _residual(gmap, lam, transposed)
-    return NormalForm(
-        kind=kind, lam=lam, transposed=transposed, S=residual.K, alpha=residual.alpha, y0=residual.y0
-    )
-
-
-def decompose_no_noise(gmap, tol=DEFAULT_TOL):
-    """Normal form of a noiseless map (alpha = 0) on any number of modes.
-
-    Such a map is Gaussian-to-Gaussian exactly when K D K.T = c D for a
-    scalar with |c| >= 1; then K = S . T^b . kappa with kappa = sqrt(|c|),
-    b = (c < 0), and S symplectic. Returns kind none (with a note) when
-    D_K is not proportional to D or the scale is below one.
-
-    Raises:
-        ValueError: if the map is not noiseless (see is_noiseless).
-    """
-    if not is_noiseless(gmap, tol=tol):
-        alpha_norm = float(np.max(np.abs(gmap.alpha)))
-        raise ValueError(f"map has noise (max |alpha| = {alpha_norm:.3e}); alpha must be 0")
-    delta = standard_form(gmap.n)
-    dk = delta_K(gmap)
-    c = float(np.sum(dk * delta) / np.sum(delta * delta))
-    residual = float(np.max(np.abs(dk - c * delta)))
-    if residual > tol * max(1.0, abs(c)):
-        return NormalForm(
-            kind="none",
-            note=(
-                "K D K.T is not proportional to D "
-                f"(proportionality residual {residual:.3e}); "
-                "a noiseless map of this form is not Gaussian-to-Gaussian"
-            ),
-        )
-    if abs(c) < 1.0 - tol:
-        return NormalForm(
-            kind="none",
-            note=(
-                f"scale |c| = {abs(c):.6g} is below 1; the map contracts "
-                "the canonical form and is not Gaussian-to-Gaussian"
-            ),
-        )
-    kappa, transposed = math.sqrt(abs(c)), c < 0
-    S = _residual(gmap, kappa, transposed).K
-    if not is_symplectic(S, tol=max(tol * 1e3, 1e-6)):
-        raise ValueError("recovered factor failed the symplectic check")
-    return NormalForm(
-        kind="homogeneous", lam=kappa, transposed=transposed,
-        S=S, alpha=np.zeros_like(gmap.alpha), y0=gmap.y0.copy(),
-    )
 
 
 def state_quadratic_infimum(w):
@@ -478,7 +392,7 @@ def q_exchange_example(nu):
     return GaussianMap(K=K, alpha=np.eye(4))
 
 
-def factor_interval(gmap, interval, tol=DEFAULT_TOL):
+def _factor_interval(gmap, interval, tol):
     """Read K = K' . T^b . (lam identity) with K' CP off a feasible interval of h.
 
     K' = K T^b / lam is CP exactly when h(c) >= 0 at c = 1 / lam**2
@@ -509,15 +423,89 @@ def factor_interval(gmap, interval, tol=DEFAULT_TOL):
     return best
 
 
-def homogeneous_factoring_check(gmap, tol=DEFAULT_TOL):
-    """Search for a factoring K = K' . T^b . (lam identity) with K' CP.
+def _noiseless_form(gmap, dk, tol):
+    """Normal form of a noiseless map (alpha = 0) with D_K = dk.
 
-    Reads the factoring off the feasible interval of one solve_h, whose
-    noise floor rather than tol keeps the sliver around a degenerate
-    c = 0 narrow (see factor_interval); a returned lam never exceeds 100.
+    Such a map is Gaussian-to-Gaussian exactly when K D K.T = c D for a
+    scalar with |c| >= 1; then K = S . T^b . kappa with kappa = sqrt(|c|),
+    b = (c < 0), and S symplectic.
+
+    Raises:
+        ValueError: when D_K is not proportional to D or the scale is below one.
+    """
+    delta = standard_form(gmap.n)
+    c = float(np.sum(dk * delta) / np.sum(delta * delta))
+    residual = float(np.max(np.abs(dk - c * delta)))
+    if residual > tol * max(1.0, abs(c)):
+        raise ValueError(
+            "K D K.T is not proportional to D "
+            f"(proportionality residual {residual:.3e}); "
+            "a noiseless map of this form is not Gaussian-to-Gaussian"
+        )
+    if abs(c) < 1.0 - tol:
+        raise ValueError(
+            f"scale |c| = {abs(c):.6g} is below 1; the map contracts "
+            "the canonical form and is not Gaussian-to-Gaussian"
+        )
+    kappa, transposed = math.sqrt(abs(c)), c < 0
+    S = _residual(gmap, kappa, transposed).K
+    if not is_symplectic(S, tol=max(tol * 1e3, 1e-6)):
+        raise ValueError("recovered factor failed the symplectic check")
+    alpha = np.zeros_like(gmap.alpha)
+    return NormalForm("homogeneous", kappa, transposed, S, alpha, gmap.y0.copy())
+
+
+def _one_mode_form(gmap, tol):
+    """Normal form of a one-mode Gaussian-to-Gaussian map.
+
+    The four determinant ranges give the four kinds:
+    0 <= det K <= 1 is already completely positive (cp_only);
+    det K > 1 factors through a dilatation of lam = sqrt(det K);
+    -1 <= det K < 0 factors through a transposition;
+    det K < -1 needs both. Boundaries are classified inclusively.
+    """
+    d = float(np.linalg.det(gmap.K))
+    dilated, transposed = abs(d) > 1.0 + tol, d < -tol
+    lam = math.sqrt(abs(d)) if dilated else 1.0
+    kind = {
+        (False, False): "cp_only",
+        (True, False): "dilatation_then_cp",
+        (False, True): "transpose_then_cp",
+        (True, True): "dilatation_transpose_then_cp",
+    }[dilated, transposed]
+    r = _residual(gmap, lam, transposed)
+    return NormalForm(kind, lam, transposed, r.K, r.alpha, r.y0)
+
+
+def decompose(gmap, tol=DEFAULT_TOL):
+    """Normal form K = S . T^b . (lam identity) of a map, with (S, alpha, y0) CP.
+
+    The forms of h are built once (see _h_forms), and one rule applies:
+    a noiseless map on two or more modes (max |alpha| <= tol * _tol_scale)
+    factors by the proportionality K D K.T = c D, with lam = sqrt|c|
+    (kind homogeneous); a one-mode map passes classify and takes the kind
+    of its determinant range, with lam = sqrt|det K|; any other map
+    passes classify, and the factoring is read off the feasible interval
+    of h by _factor_interval, or off (1, 1) for a CP map, which factors
+    with lam = 1 (kind homogeneous_factoring).
 
     Returns:
-        None when no factoring exists (as for both counterexample
-        families), else a tuple (lam, transposed, residual GaussianMap).
+        NormalForm, or None when the map is Gaussian-to-Gaussian but does
+        not factor (as for both counterexample families).
+
+    Raises:
+        ValueError: when the map is not Gaussian-to-Gaussian, with the reason.
     """
-    return factor_interval(gmap, solve_h(gmap).interval, tol)
+    A, G, scale = _h_forms(gmap)
+    if gmap.n > 1 and float(np.max(np.abs(gmap.alpha))) <= tol * scale:
+        return _noiseless_form(gmap, G.imag, tol)
+    report = _classify(gmap, A, G, scale, tol)
+    if not report.is_g2g:
+        raise ValueError("map is not Gaussian-to-Gaussian; no normal form exists")
+    if gmap.n == 1:
+        return _one_mode_form(gmap, tol)
+    factoring = _factor_interval(gmap, (1.0, 1.0) if report.is_cp else report.interval, tol)
+    if factoring is None:
+        return None
+    lam, transposed, r = factoring
+    return NormalForm("homogeneous_factoring", lam, transposed, r.K, r.alpha, r.y0)

@@ -10,8 +10,8 @@ over c in [-1, 1], found by one cutting-plane solve. When that solve
 decided the verdict, classify prints the maximum h_max, its argument c*,
 the proven upper bound h_upper, the feasible interval [c_lo, c_hi] of h
 and the number of eigensolves; a report carries them under
-"certificate". decompose decides a map once, and reads the factoring of
-two or more modes off the solve that gave the verdict.
+"certificate". decompose prints the normal form of classify.decompose,
+which decides a map once and reads its factoring off that decision.
 
 Exit codes: 0 ok/true, 1 I/O or schema error, 2 invalid state or map
 not Gaussian-to-Gaussian, 4 no decomposition exists.
@@ -24,18 +24,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classify import (
-    NormalForm,
-    classify,
-    decompose_no_noise,
-    decompose_one_mode,
-    factor_interval,
-    is_noiseless,
-)
+from .classify import classify, decompose
 from .fockprobe import airy_limit_error, probe_fock_mixture
 from .gaussian import transposition_matrix
 from .io import interleave_complex, load_map, load_state_arrays, write_report
-from .symplectic import is_valid_covariance, symplectic_eigenvalues
+from .symplectic import DEFAULT_TOL, is_valid_covariance, symplectic_eigenvalues
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -164,10 +157,10 @@ def _normal_form_payload(nf):
         "kind": nf.kind,
         "lam": nf.lam,
         "transposed": nf.transposed,
-        "S": None if nf.S is None else nf.S.tolist(),
-        "alpha": None if nf.alpha is None else nf.alpha.tolist(),
-        "y0": None if nf.y0 is None else nf.y0.tolist(),
-        "note": nf.note,
+        "S": nf.S.tolist(),
+        "alpha": nf.alpha.tolist(),
+        "y0": nf.y0.tolist(),
+        "note": None,
     }
 
 
@@ -182,39 +175,20 @@ def cmd_decompose(args):
         "version": __version__,
         "tol": args.tol,
     }
-    nf = None
-    if gmap.n > 1 and is_noiseless(gmap, tol=args.tol):
-        nf = decompose_no_noise(gmap, tol=args.tol)
-        if nf.kind == "none":
-            print(f"no normal form: {nf.note}")
-            payload.update(normal_form=_normal_form_payload(nf))
-            return _finish(args, payload, EXIT_INVALID)
-    elif gmap.n == 1:
-        try:
-            nf = decompose_one_mode(gmap, tol=args.tol)
-        except ValueError:  # raised only when the map is not G2G
-            pass
-    elif (report := classify(gmap, tol=args.tol)).is_g2g:
-        # A completely positive map factors with lam = 1: h(1) >= 0.
-        interval = (1.0, 1.0) if report.is_cp else report.interval
-        factoring = factor_interval(gmap, interval, tol=args.tol)
-        if factoring is None:
-            print(
-                "no decomposition: the map is Gaussian-to-Gaussian but does not "
-                "factor as dilatation (and optional transposition) followed by a "
-                "completely positive map"
-            )
-            payload.update(normal_form=None, note="no homogeneous factoring")
-            return _finish(args, payload, EXIT_NO_DECOMPOSITION)
-        lam, transposed, residual_map = factoring
-        nf = NormalForm(
-            kind="homogeneous_factoring", lam=lam, transposed=transposed,
-            S=residual_map.K, alpha=residual_map.alpha, y0=residual_map.y0,
-        )
-    if nf is None:
-        print("map is not Gaussian-to-Gaussian; no normal form exists")
+    try:
+        nf = decompose(gmap, tol=args.tol)
+    except ValueError as exc:  # not G2G; the message gives the reason
+        print(exc)
         payload.update(normal_form=None, note="not Gaussian-to-Gaussian")
         return _finish(args, payload, EXIT_INVALID)
+    if nf is None:
+        print(
+            "no decomposition: the map is Gaussian-to-Gaussian but does not "
+            "factor as dilatation (and optional transposition) followed by a "
+            "completely positive map"
+        )
+        payload.update(normal_form=None, note="no homogeneous factoring")
+        return _finish(args, payload, EXIT_NO_DECOMPOSITION)
     residual = _recomposition_residual(gmap, nf.lam, nf.transposed, nf.S)
     payload.update(normal_form=_normal_form_payload(nf), recomposition_residual=residual)
     print(f"kind: {nf.kind}")
@@ -292,7 +266,7 @@ def cmd_limit_check(args):
 
 
 def _add_common(parser):
-    parser.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance")
     parser.add_argument("--report", help="write a JSON report to this path")
 
 

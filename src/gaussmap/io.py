@@ -4,8 +4,8 @@ Maps and states travel as small JSON documents with row-major matrices
 in interleaved quadrature ordering (Q1, P1, Q2, P2, ...). A
 format_version field gates future changes; loaders accept documents
 without one and treat them as version 1. Reports are written with
-sorted keys so that identical inputs and seed reproduce the file
-byte-for-byte apart from the timestamp field.
+sorted keys so that identical inputs reproduce the file byte-for-byte
+apart from the timestamp field.
 """
 
 import datetime

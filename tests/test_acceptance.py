@@ -12,20 +12,18 @@ import numpy as np
 from gaussmap import (
     GaussianMap,
     airy_limit_error,
-    decompose_no_noise,
-    decompose_one_mode,
+    decompose,
     delta_K,
     dilated_fock_coefficients,
     dilated_fock_sweep,
-    homogeneous_factoring_check,
     is_cp,
     is_g2g,
     is_symplectic,
-    max_h,
     partial_transpose_example,
     probe_fock_mixture,
     q_exchange_example,
     rescale_domain,
+    solve_h,
     standard_form,
     trace_norm_sum,
     transposition_matrix,
@@ -59,7 +57,7 @@ def test_criterion_01_one_mode_minimizer_matches_determinant():
         if abs(det_margin) <= 1e-6:
             continue
         gmap = GaussianMap(K=k, alpha=alpha, y0=np.zeros(2))
-        h_max, _ = max_h(gmap)
+        h_max = solve_h(gmap).h_max
         scale = max(1.0, float(np.max(np.abs(alpha))), float(np.max(np.abs(delta_K(gmap)))))
         if (h_max >= -1e-9 * scale) != (det_margin > 0):
             disagreements += 1
@@ -119,7 +117,7 @@ def test_criterion_03_one_mode_normal_form_round_trip():
             alpha = roots @ roots.T
             check_symplectic = True
         gmap = GaussianMap(K=k, alpha=alpha, y0=np.zeros(2))
-        nf = decompose_one_mode(gmap)
+        nf = decompose(gmap)
         kinds.add(nf.kind)
         t_used = t if nf.transposed else np.eye(2)
         rebuilt = nf.lam * (nf.S @ t_used)
@@ -144,7 +142,7 @@ def test_criterion_03_one_mode_normal_form_round_trip():
             k[:, 0] = -k[:, 0]
         alpha = (0.5 + rng.uniform(0.0, 1.0)) * np.eye(2)
         gmap = GaussianMap(K=k, alpha=alpha, y0=np.zeros(2))
-        nf = decompose_one_mode(gmap)
+        nf = decompose(gmap)
         kinds.add(nf.kind)
         t_used = t if nf.transposed else np.eye(2)
         rebuilt = nf.lam * (nf.S @ t_used)
@@ -179,7 +177,7 @@ def test_criterion_04_noiseless_recovery_and_rejection():
         if transposed:
             k = k @ transposition_matrix(n)
         gmap = GaussianMap(K=k, alpha=np.zeros((2 * n, 2 * n)), y0=np.zeros(2 * n))
-        nf = decompose_no_noise(gmap)
+        nf = decompose(gmap)
         if nf.kind != "homogeneous":
             failures.append(f"instance {i}: kind {nf.kind}")
             continue
@@ -193,7 +191,12 @@ def test_criterion_04_noiseless_recovery_and_rejection():
         j, l = rng.integers(0, 2 * n, size=2)
         k_bad[j, l] += 1e-3 * max(1.0, np.abs(k).max())
         bad = GaussianMap(K=k_bad, alpha=np.zeros((2 * n, 2 * n)), y0=np.zeros(2 * n))
-        if decompose_no_noise(bad).kind != "none":
+        try:
+            decompose(bad)
+        except ValueError as exc:
+            if "not Gaussian-to-Gaussian" not in str(exc):
+                failures.append(f"instance {i}: perturbed map rejected for {exc}")
+        else:
             failures.append(f"instance {i}: perturbed map accepted")
     ok = not failures
     assert report(4, ok, f"1000 planted + 1000 perturbed, {len(failures)} failures"), failures[:5]
@@ -221,7 +224,7 @@ def test_criterion_05_counterexample_families():
                 failures.append(f"{name}({nu}): not recognized as valid")
             if is_cp(gmap):
                 failures.append(f"{name}({nu}): wrongly completely positive")
-            if homogeneous_factoring_check(gmap) is not None:
+            if decompose(gmap) is not None:
                 failures.append(f"{name}({nu}): spurious factoring")
     ok = not failures
     assert report(5, ok, f"both families at three parameters, {len(failures)} failures"), failures

@@ -7,14 +7,13 @@ from gaussmap import (
     GaussianMap,
     classify,
     compose,
+    decompose,
     delta_K,
     dilatation,
     direction_margin,
-    homogeneous_factoring_check,
     is_classical_g2g,
     is_cp,
     is_g2g,
-    max_h,
     partial_transpose_example,
     q_exchange_example,
     rescale_domain,
@@ -179,7 +178,8 @@ def test_minimizer_matches_determinant_criterion_one_mode():
         margin = np.sqrt(det_a) - 1.0 + abs(np.linalg.det(gmap.K))
         if abs(margin) <= 1e-6:
             continue
-        h_max, c_star = max_h(gmap)
+        solution = solve_h(gmap)
+        h_max, c_star = solution.h_max, solution.c_star
         assert -1.0 <= c_star <= 1.0
         assert (h_max >= -1e-9) == (margin > 0), (
             f"maximum {h_max:.3e} disagrees with margin {margin:.3e}"
@@ -203,7 +203,7 @@ def test_minimizer_matches_determinant_criterion_one_mode():
 def test_minimizer_two_mode_counterexamples_stay_nonnegative():
     for make in (partial_transpose_example, q_exchange_example):
         for nu in (0.5, 1.0, 3.0):
-            assert max_h(make(nu))[0] >= -1e-9
+            assert solve_h(make(nu)).h_max >= -1e-9
 
 
 def test_cp_implies_g2g_random():
@@ -364,16 +364,16 @@ def test_g2g_not_cp_three_modes_decided():
     assert report.h_max >= -1e-9 * _tol_scale(gmap)
     assert -1.0 <= report.c_star <= 1.0
     assert is_g2g(gmap) is True
-    factoring = homogeneous_factoring_check(gmap)
-    assert factoring is not None
-    assert is_cp(factoring[2])
+    nf = decompose(gmap)
+    assert nf is not None
+    assert is_cp(GaussianMap(K=nf.S, alpha=nf.alpha, y0=nf.y0))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_max_h_duality_and_witness_random(n, monkeypatch):
     """No unit direction goes below max h (weak duality), and on every draw
     that is not G2G the witness attains it (strong duality). On the draws
-    that are not CP, max_h takes at most 30 eigensolves in the median."""
+    that are not CP, solve_h takes at most 30 eigensolves in the median."""
     rng = np.random.default_rng(100 + n)
     count = count_eigensolves(monkeypatch)
     not_g2g = 0
@@ -382,7 +382,7 @@ def test_max_h_duality_and_witness_random(n, monkeypatch):
         gmap = random_multimode(rng, n)
         scale = _tol_scale(gmap)
         before = count[0]
-        h_max, _ = max_h(gmap)
+        h_max = solve_h(gmap).h_max
         if not is_cp(gmap):
             solves.append(count[0] - before)
         W = rng.standard_normal((30, 2 * n)) + 1j * rng.standard_normal((30, 2 * n))
@@ -497,7 +497,8 @@ def test_alpha_threshold_shared_by_g2g_and_classical(n):
 
 def test_classify_computes_delta_K_once_per_decision(monkeypatch):
     """Every exit of classify shares one K D K^T; only the witness check,
-    direction_margin, computes it again from the map."""
+    direction_margin, computes it again from the map. A noiseless
+    decompose reads its proportionality off the same one."""
     module = importlib.import_module("gaussmap.classify")
     calls = {"delta_K": 0, "direction_margin": 0}
     for name in calls:
@@ -522,3 +523,25 @@ def test_classify_computes_delta_K_once_per_decision(monkeypatch):
         assert calls["delta_K"] == 1 + calls["direction_margin"]
         solved_false = method == "concave_h_maximum" and not verdict
         assert calls["direction_margin"] >= 2 if solved_false else calls["direction_margin"] == 0
+    calls.update(delta_K=0, direction_margin=0)
+    K = 3.0 * random_symplectic(2, np.random.default_rng(5))
+    nf = module.decompose(GaussianMap(K=K, alpha=np.zeros((4, 4))))
+    assert nf.kind == "homogeneous"
+    assert calls == {"delta_K": 1, "direction_margin": 0}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_not_g2g_classify_eigensolves_beyond_solve(n, monkeypatch):
+    """A False verdict of solve_h costs two eigensolves beyond the solve:
+    the CP exit and alpha. The witness reuses the bracket's eigenvectors."""
+    count = count_eigensolves(monkeypatch)
+    rng = np.random.default_rng(40 + n)
+    seen = 0
+    for gmap in [dilatation(0.5, n)] + [random_multimode(rng, n) for _ in range(30)]:
+        before = count[0]
+        report = classify(gmap)
+        if report.method != "concave_h_maximum" or report.is_g2g:
+            continue
+        assert count[0] - before == report.eigensolves + 2
+        seen += 1
+    assert seen >= 5

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 import gaussmap
-from gaussmap import GaussianMap, dilatation, partial_transpose_example, q_exchange_example
+from gaussmap import (
+    GaussianMap,
+    decompose,
+    dilatation,
+    partial_transpose_example,
+    q_exchange_example,
+    transposition_matrix,
+)
 from gaussmap.cli import main
 from gaussmap.io import load_map, save_map, save_state
 from helpers import count_eigensolves, random_symplectic, seeded_map
@@ -214,8 +221,9 @@ def test_decompose_noiseless_two_mode(fixtures, capsys):
     assert float(scale_line.split()[1]) == pytest.approx(3.0, rel=1e-9)
 
 
-def test_decompose_noiseless_non_proportional(fixtures):
+def test_decompose_noiseless_non_proportional(fixtures, capsys):
     assert main(["decompose", fixtures["nonprop.json"]]) == 2
+    assert "not proportional" in capsys.readouterr().out
 
 
 def test_decompose_counterexamples_have_no_factoring(fixtures, capsys):
@@ -234,6 +242,54 @@ def test_decompose_report_payload(fixtures, tmp_path):
     assert nf["lam"] == pytest.approx(np.sqrt(3.0))
     assert nf["transposed"] is True
     assert doc["recomposition_residual"] <= 1e-12
+
+
+def test_decompose_cli_matches_library(tmp_path):
+    """The CLI prints and reports what decompose returns, with exit 0 for a
+    normal form, 2 for a map that is not G2G and 4 for no factoring."""
+    rng = np.random.default_rng(19)
+    t1, t2 = transposition_matrix(1), transposition_matrix(2)
+    maps = [
+        GaussianMap(K=0.5 * random_symplectic(1, rng), alpha=np.eye(2)),
+        GaussianMap(K=2.0 * random_symplectic(1, rng), alpha=0.3 * np.eye(2)),
+        GaussianMap(K=random_symplectic(1, rng) @ t1, alpha=np.eye(2)),
+        GaussianMap(K=3.0 * random_symplectic(1, rng) @ t1, alpha=np.zeros((2, 2))),
+        dilatation(0.5, 1),
+        GaussianMap(K=3.0 * random_symplectic(2, rng) @ t2, alpha=np.zeros((4, 4))),
+        GaussianMap(K=np.diag([2.0, 2.0, 1.0, 1.0]), alpha=np.zeros((4, 4))),
+        dilatation(0.5, 2),
+        GaussianMap(K=0.6 * random_symplectic(2, rng, scale=0.3), alpha=np.eye(4)),
+        GaussianMap(K=2.0 * random_symplectic(2, rng, scale=0.3) @ t2, alpha=4.0 * np.eye(4)),
+        partial_transpose_example(2.0),
+        q_exchange_example(0.5),
+        seeded_map(2, 153),
+        seeded_map(3, 17),
+    ]
+    outcomes = set()
+    for i, gmap in enumerate(maps):
+        p, r = tmp_path / f"m{i}.json", tmp_path / f"r{i}.json"
+        save_map(p, gmap)
+        code = main(["decompose", str(p), "--report", str(r)])
+        nf = json.loads(r.read_text())["normal_form"]
+        try:
+            expected = decompose(load_map(p))
+        except ValueError:
+            assert (code, nf) == (2, None)
+            outcomes.add("not_g2g")
+            continue
+        if expected is None:
+            assert (code, nf) == (4, None)
+            outcomes.add("no_factoring")
+            continue
+        assert code == 0
+        got = (nf["kind"], nf["lam"], nf["transposed"])
+        assert got == (expected.kind, expected.lam, expected.transposed)
+        assert np.array_equal(nf["S"], expected.S)
+        outcomes.add(expected.kind)
+    assert outcomes == {
+        "cp_only", "dilatation_then_cp", "transpose_then_cp", "dilatation_transpose_then_cp",
+        "homogeneous", "homogeneous_factoring", "not_g2g", "no_factoring",
+    }
 
 
 def test_apply_dilatation_to_vacuum(fixtures, capsys):

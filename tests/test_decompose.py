@@ -3,17 +3,18 @@ import pytest
 
 from gaussmap import (
     GaussianMap,
-    decompose_no_noise,
-    decompose_one_mode,
+    decompose,
     dilatation,
-    homogeneous_factoring_check,
     is_cp,
     is_symplectic,
     partial_transpose_example,
     q_exchange_example,
+    solve_h,
     standard_form,
     transposition_matrix,
 )
+from gaussmap.classify import _factor_interval
+from gaussmap.symplectic import DEFAULT_TOL
 from helpers import random_symplectic
 from scipy.linalg import expm
 
@@ -31,7 +32,7 @@ def recompose(nf, n):
 
 
 def test_one_mode_pure_dilatation():
-    nf = decompose_one_mode(dilatation(2.0, 1))
+    nf = decompose(dilatation(2.0, 1))
     assert nf.kind == "dilatation_then_cp"
     assert nf.lam == pytest.approx(2.0)
     assert not nf.transposed
@@ -39,14 +40,14 @@ def test_one_mode_pure_dilatation():
 
 
 def test_one_mode_pure_transposition():
-    nf = decompose_one_mode(one_mode_map(np.diag([1.0, -1.0])))
+    nf = decompose(one_mode_map(np.diag([1.0, -1.0])))
     assert nf.kind == "transpose_then_cp"
     assert nf.transposed
     assert nf.lam == pytest.approx(1.0)
 
 
 def test_one_mode_dilated_transposition():
-    nf = decompose_one_mode(one_mode_map(np.diag([3.0, -1.0])))
+    nf = decompose(one_mode_map(np.diag([3.0, -1.0])))
     assert nf.kind == "dilatation_transpose_then_cp"
     assert nf.lam == pytest.approx(np.sqrt(3.0))
     assert nf.transposed
@@ -54,7 +55,7 @@ def test_one_mode_dilated_transposition():
 
 def test_one_mode_cp_branch_keeps_map():
     gmap = one_mode_map(0.5 * np.eye(2), np.eye(2))
-    nf = decompose_one_mode(gmap)
+    nf = decompose(gmap)
     assert nf.kind == "cp_only"
     assert nf.lam == pytest.approx(1.0)
     assert np.allclose(nf.S, gmap.K)
@@ -63,17 +64,12 @@ def test_one_mode_cp_branch_keeps_map():
 
 def test_one_mode_rejects_invalid_map():
     with pytest.raises(ValueError):
-        decompose_one_mode(dilatation(0.5, 1))
-
-
-def test_one_mode_rejects_multimode_input():
-    with pytest.raises(ValueError):
-        decompose_one_mode(dilatation(2.0, 2))
+        decompose(dilatation(0.5, 1))
 
 
 def test_one_mode_zero_determinant_routes_to_cp():
     gmap = one_mode_map(np.diag([1.0, 0.0]), 2.0 * np.eye(2))
-    nf = decompose_one_mode(gmap)
+    nf = decompose(gmap)
     assert nf.kind == "cp_only"
 
 
@@ -95,7 +91,7 @@ def test_one_mode_recomposition_sweep():
         s = rng.uniform(0.0, 1.0)
         alpha = (1.0 - min(abs(target), 1.0) + s) * np.eye(2)
         gmap = one_mode_map(k, alpha)
-        nf = decompose_one_mode(gmap)
+        nf = decompose(gmap)
         kinds.add(nf.kind)
         rebuilt = recompose(nf, 1)
         assert np.max(np.abs(rebuilt - k)) <= 1e-9 * max(1.0, np.abs(k).max())
@@ -112,7 +108,7 @@ def test_one_mode_recomposition_sweep():
 def test_no_noise_scaled_symplectic():
     rng = np.random.default_rng(3)
     s0 = random_symplectic(2, rng)
-    nf = decompose_no_noise(GaussianMap(K=3.0 * s0, alpha=np.zeros((4, 4)), y0=np.zeros(4)))
+    nf = decompose(GaussianMap(K=3.0 * s0, alpha=np.zeros((4, 4)), y0=np.zeros(4)))
     assert nf.kind == "homogeneous"
     assert nf.lam == pytest.approx(3.0, rel=1e-9)
     assert not nf.transposed
@@ -123,7 +119,7 @@ def test_no_noise_transposed_branch():
     rng = np.random.default_rng(7)
     s0 = random_symplectic(2, rng)
     k = 2.0 * s0 @ transposition_matrix(2)
-    nf = decompose_no_noise(GaussianMap(K=k, alpha=np.zeros((4, 4)), y0=np.zeros(4)))
+    nf = decompose(GaussianMap(K=k, alpha=np.zeros((4, 4)), y0=np.zeros(4)))
     assert nf.kind == "homogeneous"
     assert nf.lam == pytest.approx(2.0, rel=1e-9)
     assert nf.transposed
@@ -132,21 +128,25 @@ def test_no_noise_transposed_branch():
 
 def test_no_noise_non_proportional_returns_none():
     k = np.diag([2.0, 2.0, 1.0, 1.0])
-    nf = decompose_no_noise(GaussianMap(K=k, alpha=np.zeros((4, 4)), y0=np.zeros(4)))
-    assert nf.kind == "none"
-    assert "not proportional" in nf.note
+    with pytest.raises(ValueError, match="not proportional"):
+        decompose(GaussianMap(K=k, alpha=np.zeros((4, 4)), y0=np.zeros(4)))
 
 
 def test_no_noise_contraction_returns_none():
-    nf = decompose_no_noise(dilatation(0.5, 2))
-    assert nf.kind == "none"
-    assert "below 1" in nf.note
+    with pytest.raises(ValueError, match="below 1"):
+        decompose(dilatation(0.5, 2))
 
 
-def test_no_noise_rejects_noisy_map():
-    gmap = GaussianMap(K=np.eye(2), alpha=0.1 * np.eye(2), y0=np.zeros(2))
-    with pytest.raises(ValueError):
-        decompose_no_noise(gmap)
+@pytest.mark.parametrize("transposed", [False, True])
+def test_no_noise_large_scale_stays_homogeneous(transposed):
+    """K = 150 I (or 150 T) has |c| = 22500, beyond the 1e-4 floor of the
+    interval rule, so only the proportionality rule factors it."""
+    k = 150.0 * (transposition_matrix(2) if transposed else np.eye(4))
+    nf = decompose(GaussianMap(K=k, alpha=np.zeros((4, 4)), y0=np.zeros(4)))
+    assert nf.kind == "homogeneous"
+    assert nf.lam == pytest.approx(150.0, rel=1e-12)
+    assert nf.transposed is transposed
+    assert np.allclose(nf.S, np.eye(4))
 
 
 def test_no_noise_exact_recovery_sweep():
@@ -159,7 +159,7 @@ def test_no_noise_exact_recovery_sweep():
         k = kappa * s0
         if transposed:
             k = k @ transposition_matrix(n)
-        nf = decompose_no_noise(GaussianMap(K=k, alpha=np.zeros((2 * n, 2 * n)), y0=np.zeros(2 * n)))
+        nf = decompose(GaussianMap(K=k, alpha=np.zeros((2 * n, 2 * n)), y0=np.zeros(2 * n)))
         assert nf.kind == "homogeneous"
         assert nf.lam == pytest.approx(kappa, rel=1e-9)
         assert nf.transposed == transposed
@@ -173,27 +173,30 @@ def test_no_noise_perturbed_proportionality_rejected():
         s0 = random_symplectic(2, rng)
         k = 2.0 * s0
         k[0, 1] += 1e-3 * max(1.0, np.abs(k).max())
-        nf = decompose_no_noise(GaussianMap(K=k, alpha=np.zeros((4, 4)), y0=np.zeros(4)))
-        assert nf.kind == "none"
+        with pytest.raises(ValueError, match="not Gaussian-to-Gaussian"):
+            decompose(GaussianMap(K=k, alpha=np.zeros((4, 4)), y0=np.zeros(4)))
+
+
+def residual_map(nf):
+    return GaussianMap(K=nf.S, alpha=nf.alpha, y0=nf.y0)
 
 
 def test_factoring_pure_dilatation():
-    found = homogeneous_factoring_check(dilatation(2.0, 1))
-    assert found is not None
-    lam, transposed, residual = found
-    assert lam == pytest.approx(2.0, abs=1e-9)
-    assert not transposed
-    assert is_cp(residual)
+    nf = decompose(dilatation(2.0, 1))
+    assert nf is not None
+    assert nf.lam == pytest.approx(2.0, abs=1e-9)
+    assert not nf.transposed
+    assert is_cp(residual_map(nf))
 
 
 def test_factoring_rotated_dilatation():
     rng = np.random.default_rng(5)
     s0 = random_symplectic(1, rng)
     gmap = GaussianMap(K=2.0 * s0, alpha=np.zeros((2, 2)), y0=np.zeros(2))
-    lam, transposed, residual = homogeneous_factoring_check(gmap)
-    assert lam == pytest.approx(2.0, abs=1e-6)
-    assert not transposed
-    assert np.allclose(residual.K, s0, atol=1e-6)
+    nf = decompose(gmap)
+    assert nf.lam == pytest.approx(2.0, abs=1e-6)
+    assert not nf.transposed
+    assert np.allclose(nf.S, s0, atol=1e-6)
 
 
 def test_factoring_boundary_contact_two_modes():
@@ -208,12 +211,11 @@ def test_factoring_boundary_contact_two_modes():
         alpha=s0 @ np.diag([1.0, 1.0, 1.0, 0.0]) @ s0.T,
         y0=np.zeros(4),
     )
-    found = homogeneous_factoring_check(gmap)
-    assert found is not None
-    lam, transposed, residual = found
-    assert lam == pytest.approx(2.0, abs=1e-4)
-    assert not transposed
-    assert is_cp(residual)
+    nf = decompose(gmap)
+    assert nf is not None
+    assert nf.lam == pytest.approx(2.0, abs=1e-4)
+    assert not nf.transposed
+    assert is_cp(residual_map(nf))
 
 
 @pytest.mark.parametrize("nu,delta", [(1.0, 0.01), (2.0, 4e-4)])
@@ -221,17 +223,16 @@ def test_factoring_interior_contact_sharp(nu, delta):
     # Inflating the counterexample noise admits a factoring at sqrt(nu/delta).
     base = partial_transpose_example(nu)
     gmap = GaussianMap(K=base.K, alpha=(1.0 + delta) * np.eye(4), y0=np.zeros(4))
-    found = homogeneous_factoring_check(gmap)
-    assert found is not None
-    lam, _, residual = found
-    assert lam == pytest.approx(np.sqrt(nu / delta), rel=1e-6)
-    assert is_cp(residual)
+    nf = decompose(gmap)
+    assert nf is not None
+    assert nf.lam == pytest.approx(np.sqrt(nu / delta), rel=1e-6)
+    assert is_cp(residual_map(nf))
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0, 3.0])
 def test_factoring_absent_for_counterexamples(nu):
-    assert homogeneous_factoring_check(partial_transpose_example(nu)) is None
-    assert homogeneous_factoring_check(q_exchange_example(nu)) is None
+    assert decompose(partial_transpose_example(nu)) is None
+    assert decompose(q_exchange_example(nu)) is None
 
 
 def test_factoring_cap_on_dilatation_size():
@@ -239,13 +240,17 @@ def test_factoring_cap_on_dilatation_size():
     # cutoff of 100, so the search reports no factoring.
     base = partial_transpose_example(1.0)
     gmap = GaussianMap(K=base.K, alpha=(1.0 + 2.5e-5) * np.eye(4), y0=np.zeros(4))
-    assert homogeneous_factoring_check(gmap) is None
+    assert decompose(gmap) is None
 
 
 def test_factoring_tie_takes_no_transposition():
     # h(c) = 2 - |1 - c| >= 0 on all of [-1, 1]: both ends give lam = 1.
+    # The map is CP, so decompose reads (1, 1); the interval rule is checked as well.
     gmap = GaussianMap(K=np.eye(4), alpha=2.0 * np.eye(4), y0=np.zeros(4))
-    lam, transposed, residual = homogeneous_factoring_check(gmap)
+    lam, transposed, residual = _factor_interval(gmap, solve_h(gmap).interval, DEFAULT_TOL)
     assert lam == 1.0
     assert not transposed
     assert np.array_equal(residual.K, gmap.K)
+    nf = decompose(gmap)
+    assert (nf.lam, nf.transposed) == (1.0, False)
+    assert np.array_equal(nf.S, gmap.K)
