@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .classify import classify, decompose
 from .fockprobe import airy_limit_error, probe_fock_mixture
-from .gaussian import transposition_matrix
+from .gaussian import apply_map_moments, transposition_matrix
 from .io import interleave_complex, load_map, load_state_arrays, write_report
 from .symplectic import DEFAULT_TOL, is_valid_covariance, symplectic_eigenvalues
 
@@ -208,8 +208,7 @@ def cmd_apply(args):
         return _fail(
             f"apply: dimension mismatch (map has n = {gmap.n}, state has n = {mean.size // 2})"
         )
-    out_mean = gmap.K @ mean + gmap.y0
-    out_cov = gmap.K @ cov @ gmap.K.T + gmap.alpha
+    out_mean, out_cov = apply_map_moments(gmap, mean, cov)
     valid = is_valid_covariance(out_cov, tol=args.tol)
     print("output mean:", " ".join(_fmt(v) for v in out_mean))
     print("output cov:")

@@ -14,11 +14,12 @@ of g_m along its natural scaling.
 
 A single row and a mixture sum_m c_m g_m are read off samples on the
 unit circle by one long-double FFT (`_fft_coefficients`), in
-O(N log N) time and O(N) memory for N coefficients. A sweep, which
-needs every row up to m_max, runs the anti-diagonal recursion of
-`_coefficient_rows` over the whole table instead. Either way the
-returned tail bound covers the analytic tail beyond the cutoff, the
-aliasing of the FFT and the rounding of both paths.
+O(N log N) time and O(N) memory for N coefficients. A sweep needs
+every row up to m_max; it runs a long-double recursion along
+anti-diagonals (`_sweep_rows`) in O(m_max N) time and stores only the
+kept cells, in float64. Either way the returned tail bound covers the
+analytic tail beyond the cutoff, the aliasing of the FFT and the
+rounding of both paths.
 """
 
 import math
@@ -39,14 +40,25 @@ def _tau_of(lam):
     return (lam * lam - 1.0) / (lam * lam + 1.0)
 
 
-def _tail_cutoff(m, tau, eps):
-    """Smallest N with the analytic tail bound below eps.
+def _log_tail(m, tau, k):
+    """Log of the analytic tail bound of row m at N = m + k; inf while rho >= 1.
 
     The tail of the factored series is bounded by
-    (1 - tau) (1 + |tau|)^m sum_{k > K} C(m+k, m) |tau|^k with N = m + K,
-    and the sum is bounded by its first term times a geometric factor
-    1 / (1 - rho), rho = |tau| (m + K + 2) / (K + 2) < 1. Binomials go
-    through lgamma so m in the hundreds stays in range.
+    (1 - tau) (1 + |tau|)^m sum_{k' > k} C(m+k', m) |tau|^k', and the sum
+    by its first term times 1 / (1 - rho), rho = |tau| (m + k + 2) / (k + 2).
+    Binomials go through lgamma so m in the hundreds stays in range.
+    """
+    t = abs(tau)
+    rho = t * (m + k + 2.0) / (k + 2.0)
+    if rho >= 1.0:
+        return math.inf
+    log_pref = m * math.log1p(t) + math.log(1.0 - tau)
+    log_binom = math.lgamma(m + k + 2.0) - math.lgamma(k + 2.0) - math.lgamma(m + 1.0)
+    return log_pref + log_binom + (k + 1.0) * math.log(t) - math.log(1.0 - rho)
+
+
+def _tail_cutoff(m, tau, eps):
+    """Smallest N = m + k, k > k_lo, with the analytic tail bound below eps.
 
     Returns:
         (N, tail_bound) with tail_bound the certified bound actually
@@ -55,85 +67,93 @@ def _tail_cutoff(m, tau, eps):
     t = abs(tau)
     if t == 0.0:
         return m, 0.0
-    log_pref = m * math.log1p(t) + math.log(1.0 - tau)
-
-    def log_tail(k):
-        rho = t * (m + k + 2.0) / (k + 2.0)
-        if rho >= 1.0:
-            return math.inf
-        log_binom = (
-            math.lgamma(m + k + 2.0) - math.lgamma(k + 2.0) - math.lgamma(m + 1.0)
-        )
-        return log_pref + log_binom + (k + 1.0) * math.log(t) - math.log(1.0 - rho)
-
     target = math.log(eps)
     # Walk past the rho < 1 threshold, then double until the bound holds.
     k_lo = int(t * (m + 2.0) / (1.0 - t)) + 1
     k_hi = max(k_lo + 1, 8)
-    while log_tail(k_hi) >= target:
+    while _log_tail(m, tau, k_hi) >= target:
         k_hi *= 2
         if k_hi > 10**9:
             raise RuntimeError("tail cutoff search failed to terminate")
     while k_hi - k_lo > 1:
         k_mid = (k_lo + k_hi) // 2
-        if log_tail(k_mid) < target:
-            k_hi = k_mid
-        else:
-            k_lo = k_mid
-    return m + k_hi, math.exp(log_tail(k_hi))
+        k_lo, k_hi = (k_lo, k_mid) if _log_tail(m, tau, k_mid) < target else (k_mid, k_hi)
+    return m + k_hi, math.exp(_log_tail(m, tau, k_hi))
 
 
-def _coefficient_rows(m_max, tau, n_max):
-    """All rows p^(j), j <= m_max, out to column n_max, in one pass.
+def _sweep_cutoffs(m_max, tau, eps):
+    """`_tail_cutoff(m, tau, eps)` for every m <= m_max, 0 < |tau| < 1.
+
+    The bound falls in k above k_lo, so each answer is the least k > k_lo
+    with `_log_tail` below log eps, whichever points a search probes. As
+    k grows with m by a nearly constant step, each search starts at the
+    previous k plus the previous step and gallops to a bracket before it
+    bisects: about three evaluations per m instead of twenty-odd.
+    """
+    t = abs(tau)
+    target = math.log(eps)
+    cuts, k, step = [], 0, 0
+    for m in range(m_max + 1):
+        def below(k, m=m):
+            return _log_tail(m, tau, k) < target
+        # lo is k_lo or fails `below`; hi passes it.
+        lo = int(t * (m + 2.0) / (1.0 - t)) + 1
+        hi, gap = max(k + step, lo + 1), 1
+        while not below(hi):
+            lo, hi, gap = hi, hi + gap, 2 * gap
+        while hi - gap > lo and below(hi - gap):
+            hi, gap = hi - gap, 2 * gap
+        lo = max(lo, hi - gap)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if below(mid) else (mid, hi)
+        step, k = hi - k, hi
+        cuts.append((m + k, math.exp(_log_tail(m, tau, k))))
+    return cuts
+
+
+def _sweep_rows(m_max, tau, cuts):
+    """Rows p^(j), j <= m_max, each cut at its own cutoff from cuts.
 
     Multiplying by one factor (z - tau) / (1 - tau z) maps row j - 1 to
     row j through
 
-        p_j[n] = tau p_j[n-1] + p_{j-1}[n-1] - tau p_{j-1}[n],
+        p_j[n] = p_{j-1}[n-1] + tau (p_j[n-1] - p_{j-1}[n]),
 
     a numerically benign two-term update (the factor has modulus one on
-    the unit circle, so no stage amplifies). The update is evaluated
-    along anti-diagonals j + n = d, which depend only on the two
-    previous diagonals and therefore vectorize; everything runs in
-    extended precision and the caller rounds at the very end.
-
-    Returns:
-        Array of shape (m_max + 1, n_max + 1) in extended precision.
+    the unit circle, so no stage amplifies). Along an anti-diagonal
+    j + n = d it reads only the two previous diagonals, so three rolling
+    long-double buffers carry it, in O(m_max N) work for N the largest
+    cutoff N_j. Only the kept cells, j = start(d) .. min(d, m_max) with
+    start(d) the least j with j + N_j >= d, are rounded to float64, into
+    a diagonal-major buffer whose columns are the rows: the cells left
+    out include values below float64's range, which round about a
+    hundred times slower than normal ones.
     """
-    tau_l = np.longdouble(tau)
-    one = np.longdouble(1.0)
-    rows = m_max + 1
-    cols = n_max + 1
-    P = np.zeros((rows, cols), dtype=np.longdouble)
-    P[0, :] = (one - tau_l) * tau_l ** np.arange(cols)
-    P[:, 0] = (one - tau_l) * (-tau_l) ** np.arange(rows)
-
-    w_prev2 = np.zeros(rows, dtype=np.longdouble)   # diagonal d - 2
-    w_prev1 = np.zeros(rows, dtype=np.longdouble)   # diagonal d - 1
-    w_cur = np.zeros(rows, dtype=np.longdouble)
-    w_prev2[0] = P[0, 0]
-    if rows > 1:
-        w_prev1[1] = P[1, 0]
-    if cols > 1:
-        w_prev1[0] = P[0, 1]
-
-    for d in range(2, m_max + n_max + 1):
-        j_min = max(0, d - n_max)
-        j_max = min(m_max, d)
-        a = max(1, j_min)
-        b = min(j_max, d - 1)
+    n_max = max(n for n, _ in cuts)
+    tau_l = np.array(tau, dtype=np.longdouble)  # 0-d: cheaper per call than a scalar
+    top = (1 - tau_l) * tau_l ** np.arange(n_max + 1)       # p_0[n]
+    left = (1 - tau_l) * (-tau_l) ** np.arange(m_max + 1)   # p_j[0]
+    reach = np.maximum.accumulate([j + n for j, (n, _) in enumerate(cuts)])
+    diagonals = int(reach[-1]) + 1
+    start = np.searchsorted(reach, np.arange(diagonals)).tolist()
+    kept = np.empty((diagonals, m_max + 1))
+    w2, w1, w = (np.zeros(m_max + 1, dtype=np.longdouble) for _ in range(3))
+    for d in range(diagonals):
+        a, b = max(1, d - n_max), min(m_max, d - 1)
         if a <= b:
-            w_cur[a : b + 1] = w_prev2[a - 1 : b] + tau_l * (
-                w_prev1[a : b + 1] - w_prev1[a - 1 : b]
-            )
-        if j_min == 0:
-            w_cur[0] = P[0, d]
-        if j_max == d:
-            w_cur[d] = P[d, 0]
-        js = np.arange(j_min, j_max + 1)
-        P[js, d - js] = w_cur[j_min : j_max + 1]
-        w_prev2, w_prev1, w_cur = w_prev1, w_cur, w_prev2
-    return P
+            cur = w[a : b + 1]
+            np.subtract(w1[a : b + 1], w1[a - 1 : b], cur)
+            cur *= tau_l
+            cur += w2[a - 1 : b]
+        if d <= n_max:
+            w[0] = top[d]
+        if d <= m_max:
+            w[d] = left[d]
+        e = min(d, m_max) + 1
+        kept[d, start[d] : e] = w[start[d] : e]
+        w2, w1, w = w1, w, w2
+    return [kept[j : j + n + 1, j].copy() for j, (n, _) in enumerate(cuts)]
 
 
 # pi to long-double precision.
@@ -177,7 +197,7 @@ def _fft_coefficients(weights, tau, n_cut):
     n_cut and the index where the analytic tail of g_M (M the top index)
     falls below u, defined below: that costs a few dozen extra samples
     and keeps the aliasing under the rounding, so the coefficients agree
-    with the table of `_coefficient_rows` to rounding.
+    with the rows of `_sweep_rows` to rounding.
 
     Aliasing. g_m is analytic for |z| < 1/|tau|, so its sampled DFT is
     exactly (1/L) sum_k g(z_k) z_k^(-n) = sum_(j = n mod L) p_j. For
@@ -324,9 +344,11 @@ class ProbeResult:
     coefficients: np.ndarray = field(repr=False, default=None)
 
 
-def _validate_m(m):
+def _validate(m, eps):
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
         raise ValueError(f"Fock index must be a nonnegative integer, got {m!r}")
+    if eps <= 0.0:
+        raise ValueError(f"precision must be positive, got {eps!r}")
 
 
 def _representation_allowance(coeffs):
@@ -346,9 +368,7 @@ def _row(m, lam, eps):
     The returned bound is the analytic tail plus the FFT's rounding
     allowance; the caller adds the float64 allowance when it rounds.
     """
-    _validate_m(m)
-    if eps <= 0.0:
-        raise ValueError(f"precision must be positive, got {eps!r}")
+    _validate(m, eps)
     tau = _tau_of(lam)
     if tau == 0.0:
         row = np.zeros(m + 1, dtype=np.longdouble)
@@ -395,48 +415,28 @@ def dilated_fock_coefficients(m, lam, eps=DEFAULT_EPS):
 def dilated_fock_sweep(m_max, lam, eps=DEFAULT_EPS):
     """FockCoefficients for every m <= m_max from a single series pass.
 
-    Row m of the coefficient table only feeds on row m - 1, so one pass
-    of `_coefficient_rows` to the largest cutoff serves all m at once;
-    each row is truncated at its own certified cutoff. A sweep uses every
-    row, so it keeps the table rather than one FFT per row: the table
-    was faster at both sizes measured (72 against 86 ms at m_max = 300,
-    lam = 2, and 345 against 564 ms at m_max = 500, lam = 3). The table
-    has no aliasing, so tail_bound is the analytic tail plus the float64
-    allowance.
+    Row m only feeds on row m - 1, so one pass of `_sweep_rows` to the
+    largest cutoff N serves all m at once; each row is cut at its own
+    certified cutoff. The pass costs O(m_max N) long-double work and
+    float64 storage of the kept cells only, and its rows are bit for bit
+    those of the full (m_max + 1) x (N + 1) long-double table of the
+    same recursion. A sweep uses every row, so it runs the recursion
+    rather than one FFT per row. The recursion has no aliasing, so
+    tail_bound is the analytic tail plus the float64 allowance.
     """
-    _validate_m(m_max)
-    if eps <= 0.0:
-        raise ValueError(f"precision must be positive, got {eps!r}")
+    _validate(m_max, eps)
     tau = _tau_of(lam)
-    out = []
     if tau == 0.0:
-        for m in range(m_max + 1):
-            coeffs = np.zeros(m + 1)
-            coeffs[m] = 1.0
-            out.append(
-                FockCoefficients(
-                    m=m, lam=float(lam), tau=0.0, coeffs=coeffs,
-                    truncation_N=m, tail_bound=0.0,
-                )
-            )
-        return out
-    cuts = [_tail_cutoff(m, tau, eps) for m in range(m_max + 1)]
-    n_global = max(n for n, _ in cuts)
-    P = _coefficient_rows(m_max, tau, n_global)
-    for m in range(m_max + 1):
-        n_cut, tail = cuts[m]
-        coeffs = np.asarray(P[m, : n_cut + 1], dtype=float)
-        out.append(
-            FockCoefficients(
-                m=m,
-                lam=float(lam),
-                tau=float(tau),
-                coeffs=coeffs,
-                truncation_N=int(n_cut),
-                tail_bound=float(tail + _representation_allowance(coeffs)),
-            )
-        )
-    return out
+        cuts = [(m, 0.0) for m in range(m_max + 1)]
+        rows = [np.eye(1, m + 1, m)[0] for m in range(m_max + 1)]
+    else:
+        cuts = _sweep_cutoffs(m_max, tau, eps)
+        rows = _sweep_rows(m_max, tau, cuts)
+    return [
+        FockCoefficients(m, float(lam), float(tau), coeffs, int(n_cut),
+                         float(tail + _representation_allowance(coeffs)) if tau else 0.0)
+        for m, (coeffs, (n_cut, tail)) in enumerate(zip(rows, cuts))
+    ]
 
 
 def trace_norm_sum(m, lam, eps=DEFAULT_EPS):

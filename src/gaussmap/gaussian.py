@@ -123,9 +123,16 @@ def apply_map(gmap, state):
     """
     if gmap.n != state.n:
         raise ValueError(f"map acts on {gmap.n} modes, state has {state.n}")
-    mean = gmap.K @ state.mean + gmap.y0
-    cov = gmap.K @ state.cov @ gmap.K.T + gmap.alpha
-    return mean, cov
+    return apply_map_moments(gmap, state.mean, state.cov)
+
+
+def apply_map_moments(gmap, mean, cov):
+    """(K x + y0, K sigma K.T + alpha) for raw moments of matching size.
+
+    Unlike `apply_map` it takes the arrays themselves, so moments that
+    are not a physical state (a subvacuum cov, say) go through as well.
+    """
+    return gmap.K @ mean + gmap.y0, gmap.K @ cov @ gmap.K.T + gmap.alpha
 
 
 def apply_map_char(gmap, chi_in, k):

@@ -74,6 +74,54 @@ def convolution_coefficients(m, lam, n_max):
     return (1.0 - tau) * out
 
 
+def coefficient_rows(m_max, tau, n_max):
+    """Reference table: every row p^(j), j <= m_max, out to column n_max.
+
+    The whole (m_max + 1) x (n_max + 1) long-double table of the recursion
+
+        p_j[n] = p_{j-1}[n-1] + tau (p_j[n-1] - p_{j-1}[n]),
+
+    evaluated along anti-diagonals j + n = d, which depend only on the
+    two previous diagonals. `dilated_fock_sweep` runs the same recursion
+    in the same order on three rolling diagonals, so its rows must equal
+    this table's rows rounded to float64 exactly.
+    """
+    tau_l = np.longdouble(tau)
+    one = np.longdouble(1.0)
+    rows = m_max + 1
+    cols = n_max + 1
+    P = np.zeros((rows, cols), dtype=np.longdouble)
+    P[0, :] = (one - tau_l) * tau_l ** np.arange(cols)
+    P[:, 0] = (one - tau_l) * (-tau_l) ** np.arange(rows)
+
+    w_prev2 = np.zeros(rows, dtype=np.longdouble)   # diagonal d - 2
+    w_prev1 = np.zeros(rows, dtype=np.longdouble)   # diagonal d - 1
+    w_cur = np.zeros(rows, dtype=np.longdouble)
+    w_prev2[0] = P[0, 0]
+    if rows > 1:
+        w_prev1[1] = P[1, 0]
+    if cols > 1:
+        w_prev1[0] = P[0, 1]
+
+    for d in range(2, m_max + n_max + 1):
+        j_min = max(0, d - n_max)
+        j_max = min(m_max, d)
+        a = max(1, j_min)
+        b = min(j_max, d - 1)
+        if a <= b:
+            w_cur[a : b + 1] = w_prev2[a - 1 : b] + tau_l * (
+                w_prev1[a : b + 1] - w_prev1[a - 1 : b]
+            )
+        if j_min == 0:
+            w_cur[0] = P[0, d]
+        if j_max == d:
+            w_cur[d] = P[d, 0]
+        js = np.arange(j_min, j_max + 1)
+        P[js, d - js] = w_cur[j_min : j_max + 1]
+        w_prev2, w_prev1, w_cur = w_prev1, w_cur, w_prev2
+    return P
+
+
 def squeezed_cov(eps):
     """One-mode squeezed covariance diag(eps, 1/eps); physical for any eps > 0."""
     return np.diag([eps, 1.0 / eps])

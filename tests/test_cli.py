@@ -9,6 +9,8 @@ import pytest
 import gaussmap
 from gaussmap import (
     GaussianMap,
+    GaussianState,
+    apply_map,
     decompose,
     dilatation,
     partial_transpose_example,
@@ -17,7 +19,7 @@ from gaussmap import (
 )
 from gaussmap.cli import main
 from gaussmap.io import load_map, save_map, save_state
-from helpers import count_eigensolves, random_symplectic, seeded_map
+from helpers import count_eigensolves, random_symplectic, random_valid_cov, seeded_map
 
 
 @pytest.fixture
@@ -319,6 +321,23 @@ def test_apply_report_moments(fixtures, tmp_path):
     doc = json.loads(r.read_text())
     assert np.allclose(doc["output_cov"], 4.0 * np.eye(2))
     assert np.allclose(doc["output_mean"], np.zeros(2))
+
+
+def test_apply_report_matches_apply_map_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(5)
+    r = rng.standard_normal((4, 4))
+    gmap = GaussianMap(K=random_symplectic(2, rng), alpha=r @ r.T, y0=rng.standard_normal(4))
+    cov = random_valid_cov(2, rng)
+    state = GaussianState(mean=rng.standard_normal(4), cov=0.5 * (cov + cov.T))
+    save_map(tmp_path / "map.json", gmap)
+    save_state(tmp_path / "state.json", state.mean, state.cov)
+    report = tmp_path / "apply.json"
+    args = ["apply", str(tmp_path / "map.json"), str(tmp_path / "state.json")]
+    assert main(args + ["--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    mean, cov_out = apply_map(gmap, state)
+    assert doc["output_mean"] == mean.tolist()
+    assert doc["output_cov"] == cov_out.tolist()
 
 
 def test_probe_pure_fock_state(capsys):

@@ -13,13 +13,14 @@ from gaussmap import (
     trace_norm_sum,
 )
 from gaussmap.fockprobe import (
-    _coefficient_rows,
     _fft_coefficients,
+    _representation_allowance,
     _smooth_length,
+    _sweep_cutoffs,
     _tail_cutoff,
     _tau_of,
 )
-from helpers import convolution_coefficients, fft_coefficients
+from helpers import coefficient_rows, convolution_coefficients, fft_coefficients
 
 CERTIFIED = "certified_not_in_convex_hull"
 NO_NEGATIVITY = "no_negativity_found"
@@ -186,7 +187,7 @@ def test_long_double_fft_within_derived_pass_bound():
 @pytest.mark.parametrize("lam", [0.5, -2.0, 1.2, 2.0, 3.0])
 def test_fft_rows_match_coefficient_table(lam):
     tau = _tau_of(lam)
-    table = _coefficient_rows(500, tau, _tail_cutoff(500, tau, 1e-12)[0])
+    table = coefficient_rows(500, tau, _tail_cutoff(500, tau, 1e-12)[0])
     for m in (0, 1, 13, 120, 500):
         fc = dilated_fock_coefficients(m, lam)
         oracle = np.asarray(table[m, : fc.coeffs.size], dtype=float)
@@ -201,7 +202,7 @@ def test_fft_mixtures_match_coefficient_table(lam):
     rng = np.random.default_rng(11)
     m_top = 300
     n_cut = _tail_cutoff(m_top, tau, 1e-12)[0]
-    table = _coefficient_rows(m_top, tau, n_cut)
+    table = coefficient_rows(m_top, tau, n_cut)
     dense = rng.uniform(0.1, 1.0, m_top + 1)
     sparse = np.zeros(m_top + 1)
     sparse[[3, 40, 41, 300]] = rng.dirichlet(np.ones(4))
@@ -278,6 +279,55 @@ def test_sweep_agrees_with_single_rows():
         k = min(rows[m].coeffs.size, single.coeffs.size)
         assert np.allclose(rows[m].coeffs[:k], single.coeffs[:k], atol=5e-15)
         assert rows[m].m == m
+
+
+# lam = 10 stops at m_max = 37: its reference table at m_max = 300 is
+# 301 x 116102 long doubles, 0.56 GB.
+SWEEP_TABLE_CASES = [
+    (lam, m_max)
+    for lam in (0.5, -2.0, 1.2, 2.0, 3.0, 10.0)
+    for m_max in (0, 1, 2, 37, 300)
+    if (lam, m_max) != (10.0, 300)
+]
+
+
+@pytest.mark.parametrize("lam, m_max", SWEEP_TABLE_CASES)
+def test_sweep_rows_equal_coefficient_table(lam, m_max):
+    """The rolling-diagonal sweep returns the reference table's rows, cutoffs
+    and bounds bit for bit."""
+    tau = _tau_of(lam)
+    cuts = [_tail_cutoff(m, tau, 1e-12) for m in range(m_max + 1)]
+    table = coefficient_rows(m_max, tau, max(n for n, _ in cuts))
+    rows = dilated_fock_sweep(m_max, lam)
+    assert len(rows) == m_max + 1
+    for m, (fc, (n_cut, tail)) in enumerate(zip(rows, cuts)):
+        oracle = np.asarray(table[m, : n_cut + 1], dtype=float)
+        assert fc.m == m and fc.truncation_N == n_cut
+        assert fc.coeffs.shape == oracle.shape and np.all(fc.coeffs == oracle)
+        assert fc.tail_bound == tail + _representation_allowance(oracle)
+
+
+@pytest.mark.parametrize("lam", [1.0001, 1.2, 2.0, 3.0, 10.0, 0.5, -2.0])
+@pytest.mark.parametrize("eps", [1e-12, 1e-6, 10.0])
+def test_sweep_cutoffs_equal_tail_cutoff(lam, eps):
+    """The warm-started searches give `_tail_cutoff`'s (N, bound) for each m.
+    At eps = 10 some answers sit at k_lo + 1, where the search's bracket
+    must not reach below k_lo."""
+    tau = _tau_of(lam)
+    assert _sweep_cutoffs(600, tau, eps) == [_tail_cutoff(m, tau, eps) for m in range(601)]
+
+
+def test_sweep_m500_memory():
+    """M = 500 at lam = 3 (N = 11049): the long-double table made a 111 MB
+    tracemalloc peak; the float64 kept cells and the rows stay under 80 MB."""
+    tracemalloc.start()
+    try:
+        rows = dilated_fock_sweep(500, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[-1].truncation_N == 11049
+    assert peak < 80e6
 
 
 def test_trace_norm_sum_grows_in_m():
