@@ -57,8 +57,14 @@ def _log_tail(m, tau, k):
     return log_pref + log_binom + (k + 1.0) * math.log(t) - math.log(1.0 - rho)
 
 
-def _tail_cutoff(m, tau, eps):
+def _tail_cutoff(m, tau, eps, k_start=None):
     """Smallest N = m + k, k > k_lo, with the analytic tail bound below eps.
+
+    The bound falls in k above k_lo, so every bracket search finds the
+    same k. This one starts at max(k_start or 8, k_lo + 1), gallops to a
+    bracket and bisects; a sweep that starts each row at the previous k
+    plus the previous step pays about three evaluations per row instead
+    of twenty-odd.
 
     Returns:
         (N, tail_bound) with tail_bound the certified bound actually
@@ -68,47 +74,37 @@ def _tail_cutoff(m, tau, eps):
     if t == 0.0:
         return m, 0.0
     target = math.log(eps)
-    # Walk past the rho < 1 threshold, then double until the bound holds.
-    k_lo = int(t * (m + 2.0) / (1.0 - t)) + 1
-    k_hi = max(k_lo + 1, 8)
-    while _log_tail(m, tau, k_hi) >= target:
-        k_hi *= 2
-        if k_hi > 10**9:
+
+    def below(k):
+        return _log_tail(m, tau, k) < target
+
+    # lo is k_lo or fails `below`; hi passes it.
+    lo = int(t * (m + 2.0) / (1.0 - t)) + 1
+    hi, gap = max(k_start or 8, lo + 1), 1
+    while not below(hi):
+        lo, hi, gap = hi, hi + gap, 2 * gap
+        if hi > 10**9:
             raise RuntimeError("tail cutoff search failed to terminate")
-    while k_hi - k_lo > 1:
-        k_mid = (k_lo + k_hi) // 2
-        k_lo, k_hi = (k_lo, k_mid) if _log_tail(m, tau, k_mid) < target else (k_mid, k_hi)
-    return m + k_hi, math.exp(_log_tail(m, tau, k_hi))
+    while hi - gap > lo and below(hi - gap):
+        hi, gap = hi - gap, 2 * gap
+    lo = max(lo, hi - gap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if below(mid) else (mid, hi)
+    return m + hi, math.exp(_log_tail(m, tau, hi))
 
 
 def _sweep_cutoffs(m_max, tau, eps):
     """`_tail_cutoff(m, tau, eps)` for every m <= m_max, 0 < |tau| < 1.
 
-    The bound falls in k above k_lo, so each answer is the least k > k_lo
-    with `_log_tail` below log eps, whichever points a search probes. As
-    k grows with m by a nearly constant step, each search starts at the
-    previous k plus the previous step and gallops to a bracket before it
-    bisects: about three evaluations per m instead of twenty-odd.
+    k grows with m by a nearly constant step, so each search starts at
+    the previous k plus the previous step.
     """
-    t = abs(tau)
-    target = math.log(eps)
     cuts, k, step = [], 0, 0
     for m in range(m_max + 1):
-        def below(k, m=m):
-            return _log_tail(m, tau, k) < target
-        # lo is k_lo or fails `below`; hi passes it.
-        lo = int(t * (m + 2.0) / (1.0 - t)) + 1
-        hi, gap = max(k + step, lo + 1), 1
-        while not below(hi):
-            lo, hi, gap = hi, hi + gap, 2 * gap
-        while hi - gap > lo and below(hi - gap):
-            hi, gap = hi - gap, 2 * gap
-        lo = max(lo, hi - gap)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if below(mid) else (mid, hi)
-        step, k = hi - k, hi
-        cuts.append((m + k, math.exp(_log_tail(m, tau, k))))
+        n, tail = _tail_cutoff(m, tau, eps, k + step)
+        step, k = n - m - k, n - m
+        cuts.append((n, tail))
     return cuts
 
 

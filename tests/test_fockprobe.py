@@ -14,6 +14,7 @@ from gaussmap import (
 )
 from gaussmap.fockprobe import (
     _fft_coefficients,
+    _log_tail,
     _representation_allowance,
     _smooth_length,
     _sweep_cutoffs,
@@ -310,11 +311,18 @@ def test_sweep_rows_equal_coefficient_table(lam, m_max):
 @pytest.mark.parametrize("lam", [1.0001, 1.2, 2.0, 3.0, 10.0, 0.5, -2.0])
 @pytest.mark.parametrize("eps", [1e-12, 1e-6, 10.0])
 def test_sweep_cutoffs_equal_tail_cutoff(lam, eps):
-    """The warm-started searches give `_tail_cutoff`'s (N, bound) for each m.
-    At eps = 10 some answers sit at k_lo + 1, where the search's bracket
+    """Warm-started searches give the cold search's (N, bound) for each m,
+    and each answer is the least k > k_lo with the bound below eps. At
+    eps = 10 some answers sit at k_lo + 1, where the search's bracket
     must not reach below k_lo."""
     tau = _tau_of(lam)
-    assert _sweep_cutoffs(600, tau, eps) == [_tail_cutoff(m, tau, eps) for m in range(601)]
+    cuts = [_tail_cutoff(m, tau, eps) for m in range(601)]
+    assert _sweep_cutoffs(600, tau, eps) == cuts
+    t, target = abs(tau), math.log(eps)
+    for m, (n_cut, tail) in enumerate(cuts):
+        k, k_lo = n_cut - m, int(t * (m + 2.0) / (1.0 - t)) + 1
+        assert k > k_lo and tail == math.exp(_log_tail(m, tau, k)) and tail < eps
+        assert k == k_lo + 1 or _log_tail(m, tau, k - 1) >= target
 
 
 def test_sweep_m500_memory():
