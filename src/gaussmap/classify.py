@@ -423,33 +423,36 @@ def _factor_interval(gmap, interval, tol):
     return best
 
 
-def _noiseless_form(gmap, dk, tol):
+def _noiseless_form(gmap, dk, scale, tol):
     """Normal form of a noiseless map (alpha = 0) with D_K = dk.
 
     Such a map is Gaussian-to-Gaussian exactly when K D K.T = c D for a
     scalar with |c| >= 1; then K = S . T^b . kappa with kappa = sqrt(|c|),
-    b = (c < 0), and S symplectic.
+    b = (c < 0), and S symplectic. Both tests allow classify's tol * scale
+    on h (scale from _h_forms): h(1/c) = -||dk - c D||_2 / |c|, and
+    h(sign c) = |c| - 1 when dk = c D.
 
     Raises:
         ValueError: when D_K is not proportional to D or the scale is below one.
     """
     delta = standard_form(gmap.n)
     c = float(np.sum(dk * delta) / np.sum(delta * delta))
-    residual = float(np.max(np.abs(dk - c * delta)))
-    if residual > tol * max(1.0, abs(c)):
+    residual = float(np.linalg.norm(dk - c * delta, 2))
+    if residual > tol * scale * abs(c):
         raise ValueError(
             "K D K.T is not proportional to D "
             f"(proportionality residual {residual:.3e}); "
             "a noiseless map of this form is not Gaussian-to-Gaussian"
         )
-    if abs(c) < 1.0 - tol:
+    if abs(c) < 1.0 - tol * scale:
         raise ValueError(
             f"scale |c| = {abs(c):.6g} is below 1; the map contracts "
             "the canonical form and is not Gaussian-to-Gaussian"
         )
     kappa, transposed = math.sqrt(abs(c)), c < 0
     S = _residual(gmap, kappa, transposed).K
-    if not is_symplectic(S, tol=max(tol * 1e3, 1e-6)):
+    # S D S.T - D = (dk - c D) / c, which the first test bounds by tol * scale.
+    if not is_symplectic(S, tol=max(tol * 1e3, 1e-6) + tol * scale):
         raise ValueError("recovered factor failed the symplectic check")
     alpha = np.zeros_like(gmap.alpha)
     return NormalForm("homogeneous", kappa, transposed, S, alpha, gmap.y0.copy())
@@ -498,7 +501,7 @@ def decompose(gmap, tol=DEFAULT_TOL):
     """
     A, G, scale = _h_forms(gmap)
     if gmap.n > 1 and float(np.max(np.abs(gmap.alpha))) <= tol * scale:
-        return _noiseless_form(gmap, G.imag, tol)
+        return _noiseless_form(gmap, G.imag, scale, tol)
     report = _classify(gmap, A, G, scale, tol)
     if not report.is_g2g:
         raise ValueError("map is not Gaussian-to-Gaussian; no normal form exists")

@@ -1,6 +1,9 @@
 """Command-line interface.
 
-Subcommands: validate, classify, decompose, apply, probe, limit-check.
+Subcommands: validate, classify, decompose, apply, probe, limit-check;
+`gaussmap --help` lists them and `gaussmap COMMAND --help` gives one
+command's arguments. Each call builds only the parser of the command it
+names (COMMANDS holds every command's arguments once).
 Human-readable summaries go to standard output, machine-readable
 reports to files (--report / --csv), diagnostics to standard error.
 
@@ -68,10 +71,7 @@ def _parse_floats(text, flag):
 def _witness_payload(witness):
     if witness is None:
         return None
-    return {
-        "direction": interleave_complex(witness.w),
-        "objective": float(witness.objective),
-    }
+    return {"direction": interleave_complex(witness.w), "objective": float(witness.objective)}
 
 
 def cmd_validate(args):
@@ -129,14 +129,10 @@ def cmd_classify(args):
     print(f"completely positive: {str(report.is_cp).lower()}")
     print(f"classical (alpha >= 0): {str(report.is_classical_g2g).lower()}")
     print(f"method: {report.method}")
-    if report.margin is not None:
-        print(f"margin: {_fmt(report.margin)}")
-    if report.h_max is not None:
-        print(f"h_max: {_fmt(report.h_max)}")
-    if report.c_star is not None:
-        print(f"c*: {_fmt(report.c_star)}")
-    if report.h_upper is not None:
-        print(f"h_upper: {_fmt(report.h_upper)}")
+    for label, value in (("margin", report.margin), ("h_max", report.h_max),
+                         ("c*", report.c_star), ("h_upper", report.h_upper)):
+        if value is not None:
+            print(f"{label}: {_fmt(value)}")
     if report.interval is not None:
         print(f"interval: [{_fmt(report.interval[0])}, {_fmt(report.interval[1])}]")
     if report.eigensolves is not None:
@@ -147,9 +143,7 @@ def cmd_classify(args):
 def _recomposition_residual(gmap, lam, transposed, factor_K):
     t_b = transposition_matrix(gmap.n) if transposed else np.eye(2 * gmap.n)
     recomposed = lam * (factor_K @ t_b)
-    return float(
-        np.max(np.abs(recomposed - gmap.K)) / max(1.0, np.max(np.abs(gmap.K)))
-    )
+    return float(np.max(np.abs(recomposed - gmap.K)) / max(1.0, np.max(np.abs(gmap.K))))
 
 
 def _normal_form_payload(nf):
@@ -169,12 +163,7 @@ def cmd_decompose(args):
         gmap = load_map(args.map)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"decompose: {exc}")
-    payload = {
-        "command": "decompose",
-        "input": args.map,
-        "version": __version__,
-        "tol": args.tol,
-    }
+    payload = {"command": "decompose", "input": args.map, "version": __version__, "tol": args.tol}
     try:
         nf = decompose(gmap, tol=args.tol)
     except ValueError as exc:  # not G2G; the message gives the reason
@@ -264,9 +253,39 @@ def cmd_limit_check(args):
     return EXIT_OK
 
 
-def _add_common(parser):
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance")
-    parser.add_argument("--report", help="write a JSON report to this path")
+def _files(*names):
+    """add_arguments of a command that reads the named JSON files."""
+    def add_arguments(parser):
+        for name in names:
+            parser.add_argument(name, help=f"{name} JSON file")
+        parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance")
+        parser.add_argument("--report", help="write a JSON report to this path")
+    return add_arguments
+
+
+def _probe_args(parser):
+    parser.add_argument("--weights", required=True, help="comma-separated mixture weights c_0,c_1,...")
+    parser.add_argument("--lambda", dest="lam", type=float, required=True, help="dilatation parameter")
+    parser.add_argument("--epsilon", type=float, default=1e-12, help="truncation precision")
+    parser.add_argument("--csv", help="write the output coefficients to this CSV path")
+
+
+def _limit_check_args(parser):
+    parser.add_argument("--lambda", dest="lam", type=float, required=True, help="dilatation parameter")
+    parser.add_argument("--k", type=float, required=True, help="scaling variable")
+    parser.add_argument("--m-list", required=True, help="comma-separated Fock indices")
+    parser.add_argument("--csv", help="write the error curve to this CSV path")
+
+
+# name: (help, add_arguments, handler); every command's arguments are defined here once.
+COMMANDS = {
+    "validate": ("check a covariance state file", _files("state"), cmd_validate),
+    "classify": ("classify a map file", _files("map"), cmd_classify),
+    "decompose": ("compute a normal form of a map file", _files("map"), cmd_decompose),
+    "apply": ("apply a map file to a state file", _files("map", "state"), cmd_apply),
+    "probe": ("probe a Fock mixture for negativity", _probe_args, cmd_probe),
+    "limit-check": ("evaluate the oscillatory limit error curve", _limit_check_args, cmd_limit_check),
+}
 
 
 def build_parser():
@@ -276,46 +295,26 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a covariance state file")
-    p.add_argument("state", help="state JSON file")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("classify", help="classify a map file")
-    p.add_argument("map", help="map JSON file")
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("decompose", help="compute a normal form of a map file")
-    p.add_argument("map", help="map JSON file")
-    _add_common(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("apply", help="apply a map file to a state file")
-    p.add_argument("map", help="map JSON file")
-    p.add_argument("state", help="state JSON file")
-    _add_common(p)
-    p.set_defaults(func=cmd_apply)
-
-    p = sub.add_parser("probe", help="probe a Fock mixture for negativity")
-    p.add_argument("--weights", required=True, help="comma-separated mixture weights c_0,c_1,...")
-    p.add_argument("--lambda", dest="lam", type=float, required=True, help="dilatation parameter")
-    p.add_argument("--epsilon", type=float, default=1e-12, help="truncation precision")
-    p.add_argument("--csv", help="write the output coefficients to this CSV path")
-    p.set_defaults(func=cmd_probe)
-
-    p = sub.add_parser("limit-check", help="evaluate the oscillatory limit error curve")
-    p.add_argument("--lambda", dest="lam", type=float, required=True, help="dilatation parameter")
-    p.add_argument("--k", type=float, required=True, help="scaling variable")
-    p.add_argument("--m-list", required=True, help="comma-separated Fock indices")
-    p.add_argument("--csv", help="write the error curve to this CSV path")
-    p.set_defaults(func=cmd_limit_check)
-
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None):
+    # A call that names a command builds only that command's parser, the
+    # twin of its subparser in build_parser. Anything else (--help,
+    # --version, no or an unknown command) and an unrecognized argument go
+    # to build_parser, so usage, errors and exit codes are the full parser's.
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        _, add_arguments, handler = COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"gaussmap {argv[0]}")
+        add_arguments(parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return handler(args)
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -94,14 +94,15 @@ def _tail_cutoff(m, tau, eps, k_start=None):
     return m + hi, math.exp(_log_tail(m, tau, hi))
 
 
-def _sweep_cutoffs(m_max, tau, eps):
-    """`_tail_cutoff(m, tau, eps)` for every m <= m_max, 0 < |tau| < 1.
+def _sweep_cutoffs(ms, tau, eps):
+    """`_tail_cutoff(m, tau, eps)` for each m of the increasing sequence ms, 0 < |tau| < 1.
 
     k grows with m by a nearly constant step, so each search starts at
-    the previous k plus the previous step.
+    the previous k plus the previous step. Every start gives the same
+    answer; a close one only saves evaluations.
     """
     cuts, k, step = [], 0, 0
-    for m in range(m_max + 1):
+    for m in ms:
         n, tail = _tail_cutoff(m, tau, eps, k + step)
         step, k = n - m - k, n - m
         cuts.append((n, tail))
@@ -426,7 +427,7 @@ def dilated_fock_sweep(m_max, lam, eps=DEFAULT_EPS):
         cuts = [(m, 0.0) for m in range(m_max + 1)]
         rows = [np.eye(1, m + 1, m)[0] for m in range(m_max + 1)]
     else:
-        cuts = _sweep_cutoffs(m_max, tau, eps)
+        cuts = _sweep_cutoffs(range(m_max + 1), tau, eps)
         rows = _sweep_rows(m_max, tau, cuts)
     return [
         FockCoefficients(m, float(lam), float(tau), coeffs, int(n_cut),
@@ -493,7 +494,8 @@ def probe_fock_mixture(weights, lam, eps=DEFAULT_EPS):
     # Zero weights add nothing to the tail. The cutoff grows with m, so
     # the output runs to the cutoff of m_top even when c[m_top] is zero.
     support = [int(m) for m in np.flatnonzero(c)]
-    cuts = {m: _tail_cutoff(m, tau, eps) for m in {*support, m_top}}
+    ms = sorted({*support, m_top})
+    cuts = dict(zip(ms, _sweep_cutoffs(ms, tau, eps)))
     n_global = max(n for n, _ in cuts.values())
     q_long, rounding = _fft_coefficients(c, tau, n_global)
     q = np.asarray(q_long, dtype=float)

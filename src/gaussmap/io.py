@@ -98,6 +98,12 @@ def load_state_arrays(path):
     return mean, 0.5 * (cov + cov.T)
 
 
+def _write_json(path, doc):
+    """Write doc with sorted keys, a 2-space indent and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def save_map(path, gmap):
     doc = {
         "format_version": FORMAT_VERSION,
@@ -106,9 +112,7 @@ def save_map(path, gmap):
         "alpha": gmap.alpha.tolist(),
         "y0": gmap.y0.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def save_state(path, mean, cov):
@@ -120,9 +124,7 @@ def save_state(path, mean, cov):
         "mean": mean.tolist(),
         "cov": cov.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def interleave_complex(w):
@@ -154,6 +156,4 @@ def write_report(path, payload):
     """Write a report file; deterministic apart from the timestamp."""
     doc = _pythonize(dict(payload))
     doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)

@@ -1,3 +1,5 @@
+import argparse
+import io
 import json
 import os
 import subprocess
@@ -17,8 +19,8 @@ from gaussmap import (
     q_exchange_example,
     transposition_matrix,
 )
-from gaussmap.cli import main
-from gaussmap.io import load_map, save_map, save_state
+from gaussmap.cli import COMMANDS, build_parser, main
+from gaussmap.io import load_map, save_map, save_state, write_report
 from helpers import count_eigensolves, random_symplectic, random_valid_cov, seeded_map
 
 
@@ -468,3 +470,141 @@ def test_state_file_non_finite_is_schema_error(fixtures, tmp_path, capsys, field
     assert main(["validate", str(p)]) == 1
     assert main(["apply", fixtures["dil2.json"], str(p)]) == 1
     assert capsys.readouterr().err.count(f"field '{field}' has a NaN or infinite entry") == 2
+
+
+def _json_layout(doc):
+    """The report and file layout: sorted keys, 2-space indent, trailing newline."""
+    buf = io.StringIO()
+    json.dump(doc, buf, indent=2, sort_keys=True)
+    buf.write("\n")
+    return buf.getvalue()
+
+
+def test_json_files_keep_their_layout(tmp_path):
+    """Maps, states and reports are written byte for byte in one layout."""
+    p = tmp_path / "state.json"
+    save_state(p, [0.0, 0.5], np.diag([1.0, 2.0]))
+    assert p.read_bytes() == (
+        b'{\n  "cov": [\n    [\n      1.0,\n      0.0\n    ],\n    [\n      0.0,\n'
+        b'      2.0\n    ]\n  ],\n  "format_version": 1,\n  "mean": [\n    0.0,\n'
+        b'    0.5\n  ],\n  "n": 1\n}\n'
+    )
+    gmap = q_exchange_example(2.0)
+    p = tmp_path / "map.json"
+    save_map(p, gmap)
+    doc = {"format_version": 1, "n": 2, "K": gmap.K.tolist(), "alpha": gmap.alpha.tolist(),
+           "y0": gmap.y0.tolist()}
+    assert p.read_text(encoding="utf-8") == _json_layout(doc)
+    p = tmp_path / "report.json"
+    write_report(p, {"command": "x", "values": np.arange(3.0), "flag": np.bool_(True), "n": np.int64(2)})
+    text = p.read_text(encoding="utf-8")
+    doc = {"command": "x", "values": [0.0, 1.0, 2.0], "flag": True, "n": 2,
+           "timestamp": json.loads(text)["timestamp"]}
+    assert text == _json_layout(doc)
+
+
+def _command_argvs(paths):
+    return [
+        ["validate", paths["vacuum.json"]],
+        ["classify", paths["dil2.json"]],
+        ["decompose", paths["dil2.json"]],
+        ["apply", paths["dil2.json"], paths["vacuum.json"]],
+        ["probe", "--weights", "0,1", "--lambda", "2"],
+        ["limit-check", "--lambda", "2", "--k", "0.5", "--m-list", "10"],
+    ]
+
+
+def test_command_call_builds_one_parser(fixtures, monkeypatch, capsys):
+    """A call that names a command builds that command's parser and no other
+    (the full parser is seven: the top level and six subparsers)."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in _command_argvs(fixtures):
+        built.clear()
+        assert main(argv) in (0, 2)
+        assert built == [f"gaussmap {argv[0]}"]
+    built.clear()
+    build_parser()
+    assert len(built) == 7
+
+
+def _valid_argvs(paths):
+    m, s, r = paths["dil2.json"], paths["vacuum.json"], os.path.join(paths["dir"], "r.json")
+    return _command_argvs(paths) + [
+        ["validate", s, "--tol", "1e-6", "--report", r],
+        ["validate", "--tol=0.5", s],
+        ["classify", m, "--tol", "1e-8", "--report", r],
+        ["classify", "--rep", r, m],
+        ["classify", "--", m],
+        ["decompose", m, "--report", r, "--tol", "2e-9"],
+        ["apply", m, s, "--tol", "1e-7", "--report", r],
+        ["apply", "--tol", "1e-7", m, s],
+        ["probe", "--weights", "0.5,0.5", "--lambda", "-1.5", "--epsilon", "1e-6", "--csv", r],
+        ["probe", "--lambda=3", "--weights=1"],
+        ["limit-check", "--m-list", "1,2", "--k", "-0.5", "--lambda", "2", "--csv", r],
+    ]
+
+
+def test_one_parser_namespace_matches_full_parser(fixtures, monkeypatch):
+    """main hands each command's handler the namespace of build_parser's
+    subparser, without its command and func entries."""
+    for argv in _valid_argvs(fixtures):
+        expected = vars(build_parser().parse_args(argv))
+        assert expected.pop("command") == argv[0]
+        assert expected.pop("func") is COMMANDS[argv[0]][2]
+        seen = []
+        help_text, add_arguments, _ = COMMANDS[argv[0]]
+        monkeypatch.setitem(COMMANDS, argv[0], (help_text, add_arguments, lambda a: seen.append(a)))
+        main(argv)
+        assert len(seen) == 1 and vars(seen[0]) == expected, argv
+
+
+def _exit(call, capsys):
+    with pytest.raises(SystemExit) as exc:
+        call()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify"],
+        ["apply", "MAP"],
+        ["classify", "MAP", "--budget", "1"],
+        ["validate", "STATE", "--seed"],
+        ["classify", "MAP", "--version"],
+        ["decompose", "MAP", "extra"],
+        ["classify", "MAP", "--tol", "abc"],
+        ["classify", "MAP", "--tol"],
+        ["probe", "--weights", "1"],
+        ["probe", "--weights", "1", "--lambda", "2", "--bogus"],
+        ["limit-check", "--lambda", "x", "--k", "1", "--m-list", "1"],
+    ],
+)
+def test_bad_arguments_fail_as_full_parser(fixtures, capsys, argv):
+    """Usage errors keep the full parser's exit code and standard error,
+    including the top-level usage for an unrecognized argument."""
+    argv = [{"MAP": fixtures["dil2.json"], "STATE": fixtures["vacuum.json"]}.get(a, a) for a in argv]
+    code, out, err = _exit(lambda: main(argv), capsys)
+    assert (code, out, err) == _exit(lambda: build_parser().parse_args(argv), capsys)
+    assert code == 2 and "error: " in err
+
+
+def test_help_version_and_missing_command(capsys):
+    code, out, _ = _exit(lambda: main(["--help"]), capsys)
+    assert code == 0
+    for name in ("validate", "classify", "decompose", "apply", "probe", "limit-check"):
+        assert f"    {name} " in out and COMMANDS[name][0] in out
+    assert _exit(lambda: main(["--version"]), capsys)[:2] == (0, f"gaussmap {gaussmap.__version__}\n")
+    code, out, _ = _exit(lambda: main(["classify", "--help"]), capsys)
+    assert code == 0 and out.startswith("usage: gaussmap classify [-h] [--tol TOL] [--report REPORT] map")
+    assert _exit(lambda: main([]), capsys)[0] == 2
+    code, _, err = _exit(lambda: main(["bogus"]), capsys)
+    assert code == 2 and "invalid choice: 'bogus'" in err

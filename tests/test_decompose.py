@@ -3,6 +3,7 @@ import pytest
 
 from gaussmap import (
     GaussianMap,
+    classify,
     decompose,
     dilatation,
     is_cp,
@@ -254,3 +255,37 @@ def test_factoring_tie_takes_no_transposition():
     nf = decompose(gmap)
     assert (nf.lam, nf.transposed) == (1.0, False)
     assert np.array_equal(nf.S, gmap.K)
+
+
+def _perturbed_noiseless(k, rel):
+    """K = k I on two modes with K[0, 0] scaled by 1 + rel, alpha = 0."""
+    K = k * np.eye(4)
+    K[0, 0] *= 1.0 + rel
+    return GaussianMap(K=K, alpha=np.zeros((4, 4)), y0=np.zeros(4))
+
+
+@pytest.mark.parametrize("k, rel", [(10.0, 1e-7), (2.0, 2e-9), (2.0, 5e-9), (150.0, 4e-5)])
+def test_noiseless_boundary_follows_classify(k, rel):
+    """Near-proportional maps that classify calls G2G within tol * scale on h
+    factor as homogeneous: the proportionality test and the symplectic
+    check of the factor allow the same (at 150 I, scale = 22500)."""
+    gmap = _perturbed_noiseless(k, rel)
+    assert classify(gmap).is_g2g
+    assert decompose(gmap).kind == "homogeneous"
+
+
+@pytest.mark.parametrize("k", [2.0, 10.0])
+def test_noiseless_rejection_matches_classify(k):
+    """decompose raises "not Gaussian-to-Gaussian" exactly where classify says
+    the map is not G2G, over relative perturbations from 1e-10 to 1e-5."""
+    verdicts = set()
+    for rel in np.logspace(-10, -5, 51):
+        gmap = _perturbed_noiseless(k, rel)
+        is_g2g = classify(gmap).is_g2g
+        verdicts.add(is_g2g)
+        if is_g2g:
+            assert decompose(gmap).kind == "homogeneous", rel
+        else:
+            with pytest.raises(ValueError, match="not Gaussian-to-Gaussian"):
+                decompose(gmap)
+    assert verdicts == {True, False}

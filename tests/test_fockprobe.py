@@ -312,12 +312,15 @@ def test_sweep_rows_equal_coefficient_table(lam, m_max):
 @pytest.mark.parametrize("eps", [1e-12, 1e-6, 10.0])
 def test_sweep_cutoffs_equal_tail_cutoff(lam, eps):
     """Warm-started searches give the cold search's (N, bound) for each m,
-    and each answer is the least k > k_lo with the bound below eps. At
-    eps = 10 some answers sit at k_lo + 1, where the search's bracket
-    must not reach below k_lo."""
+    over every m <= 600 and over sparse and dense index lists, and each
+    answer is the least k > k_lo with the bound below eps. At eps = 10
+    some answers sit at k_lo + 1, where the search's bracket must not
+    reach below k_lo."""
     tau = _tau_of(lam)
     cuts = [_tail_cutoff(m, tau, eps) for m in range(601)]
-    assert _sweep_cutoffs(600, tau, eps) == cuts
+    assert _sweep_cutoffs(range(601), tau, eps) == cuts
+    for ms in ([0, 3, 250, 600], [7], [1, 2, 3, 40, 41, 42, 43, 599, 600], range(100, 301)):
+        assert _sweep_cutoffs(ms, tau, eps) == [cuts[m] for m in ms]
     t, target = abs(tau), math.log(eps)
     for m, (n_cut, tail) in enumerate(cuts):
         k, k_lo = n_cut - m, int(t * (m + 2.0) / (1.0 - t)) + 1
