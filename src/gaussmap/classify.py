@@ -430,7 +430,8 @@ def _noiseless_form(gmap, dk, scale, tol):
     scalar with |c| >= 1; then K = S . T^b . kappa with kappa = sqrt(|c|),
     b = (c < 0), and S symplectic. Both tests allow classify's tol * scale
     on h (scale from _h_forms): h(1/c) = -||dk - c D||_2 / |c|, and
-    h(sign c) = |c| - 1 when dk = c D.
+    h(sign c) = |c| - 1 when dk = c D. The symplectic check of S keeps its
+    own absolute tolerance, so no factor that misses it is returned.
 
     Raises:
         ValueError: when D_K is not proportional to D or the scale is below one.
@@ -451,8 +452,7 @@ def _noiseless_form(gmap, dk, scale, tol):
         )
     kappa, transposed = math.sqrt(abs(c)), c < 0
     S = _residual(gmap, kappa, transposed).K
-    # S D S.T - D = (dk - c D) / c, which the first test bounds by tol * scale.
-    if not is_symplectic(S, tol=max(tol * 1e3, 1e-6) + tol * scale):
+    if not is_symplectic(S, tol=max(tol * 1e3, 1e-6)):
         raise ValueError("recovered factor failed the symplectic check")
     alpha = np.zeros_like(gmap.alpha)
     return NormalForm("homogeneous", kappa, transposed, S, alpha, gmap.y0.copy())

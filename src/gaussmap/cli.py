@@ -1,9 +1,8 @@
 """Command-line interface.
 
-Subcommands: validate, classify, decompose, apply, probe, limit-check;
-`gaussmap --help` lists them and `gaussmap COMMAND --help` gives one
-command's arguments. Each call builds only the parser of the command it
-names (COMMANDS holds every command's arguments once).
+Subcommands: validate, classify, decompose, apply, probe, limit-check.
+`gaussmap --help` lists them, `gaussmap COMMAND --help` gives one
+command's arguments; each call builds only its command's parser.
 Human-readable summaries go to standard output, machine-readable
 reports to files (--report / --csv), diagnostics to standard error.
 
@@ -71,7 +70,10 @@ def _parse_floats(text, flag):
 def _witness_payload(witness):
     if witness is None:
         return None
-    return {"direction": interleave_complex(witness.w), "objective": float(witness.objective)}
+    return {
+        "direction": interleave_complex(witness.w),
+        "objective": float(witness.objective),
+    }
 
 
 def cmd_validate(args):
@@ -129,10 +131,14 @@ def cmd_classify(args):
     print(f"completely positive: {str(report.is_cp).lower()}")
     print(f"classical (alpha >= 0): {str(report.is_classical_g2g).lower()}")
     print(f"method: {report.method}")
-    for label, value in (("margin", report.margin), ("h_max", report.h_max),
-                         ("c*", report.c_star), ("h_upper", report.h_upper)):
-        if value is not None:
-            print(f"{label}: {_fmt(value)}")
+    if report.margin is not None:
+        print(f"margin: {_fmt(report.margin)}")
+    if report.h_max is not None:
+        print(f"h_max: {_fmt(report.h_max)}")
+    if report.c_star is not None:
+        print(f"c*: {_fmt(report.c_star)}")
+    if report.h_upper is not None:
+        print(f"h_upper: {_fmt(report.h_upper)}")
     if report.interval is not None:
         print(f"interval: [{_fmt(report.interval[0])}, {_fmt(report.interval[1])}]")
     if report.eigensolves is not None:
@@ -143,7 +149,9 @@ def cmd_classify(args):
 def _recomposition_residual(gmap, lam, transposed, factor_K):
     t_b = transposition_matrix(gmap.n) if transposed else np.eye(2 * gmap.n)
     recomposed = lam * (factor_K @ t_b)
-    return float(np.max(np.abs(recomposed - gmap.K)) / max(1.0, np.max(np.abs(gmap.K))))
+    return float(
+        np.max(np.abs(recomposed - gmap.K)) / max(1.0, np.max(np.abs(gmap.K)))
+    )
 
 
 def _normal_form_payload(nf):
@@ -163,7 +171,12 @@ def cmd_decompose(args):
         gmap = load_map(args.map)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"decompose: {exc}")
-    payload = {"command": "decompose", "input": args.map, "version": __version__, "tol": args.tol}
+    payload = {
+        "command": "decompose",
+        "input": args.map,
+        "version": __version__,
+        "tol": args.tol,
+    }
     try:
         nf = decompose(gmap, tol=args.tol)
     except ValueError as exc:  # not G2G; the message gives the reason
@@ -303,10 +316,9 @@ def build_parser():
 
 
 def main(argv=None):
-    # A call that names a command builds only that command's parser, the
-    # twin of its subparser in build_parser. Anything else (--help,
-    # --version, no or an unknown command) and an unrecognized argument go
-    # to build_parser, so usage, errors and exit codes are the full parser's.
+    # A known command builds only its own parser, the twin of its subparser
+    # in build_parser. Help, version, unknown commands and unrecognized
+    # arguments go to build_parser, for the full parser's messages and codes.
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in COMMANDS:
         _, add_arguments, handler = COMMANDS[argv[0]]

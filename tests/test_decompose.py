@@ -264,14 +264,25 @@ def _perturbed_noiseless(k, rel):
     return GaussianMap(K=K, alpha=np.zeros((4, 4)), y0=np.zeros(4))
 
 
-@pytest.mark.parametrize("k, rel", [(10.0, 1e-7), (2.0, 2e-9), (2.0, 5e-9), (150.0, 4e-5)])
+@pytest.mark.parametrize("k, rel", [(10.0, 1e-7), (2.0, 2e-9), (2.0, 5e-9)])
 def test_noiseless_boundary_follows_classify(k, rel):
     """Near-proportional maps that classify calls G2G within tol * scale on h
-    factor as homogeneous: the proportionality test and the symplectic
-    check of the factor allow the same (at 150 I, scale = 22500)."""
+    factor as homogeneous."""
     gmap = _perturbed_noiseless(k, rel)
     assert classify(gmap).is_g2g
     assert decompose(gmap).kind == "homogeneous"
+
+
+def test_noiseless_unequal_dilatation_raises():
+    """K = diag(1000, 1000, 999.5, 999.5) dilates the two modes differently,
+    so it is not G2G. Its proportionality misfit passes tol * scale at this
+    scale, but its factor misses symplecticity by about 5e-4, so decompose
+    raises instead of returning a non-symplectic S."""
+    gmap = GaussianMap(
+        K=np.diag([1000.0, 1000.0, 999.5, 999.5]), alpha=np.zeros((4, 4)), y0=np.zeros(4)
+    )
+    with pytest.raises(ValueError):
+        decompose(gmap)
 
 
 @pytest.mark.parametrize("k", [2.0, 10.0])
