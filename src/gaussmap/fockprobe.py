@@ -16,10 +16,10 @@ A single row and a mixture sum_m c_m g_m are read off samples on the
 unit circle by one long-double FFT (`_fft_coefficients`), in
 O(N log N) time and O(N) memory for N coefficients. A sweep needs
 every row up to m_max; it runs a long-double recursion along
-anti-diagonals (`_sweep_rows`) in O(m_max N) time and stores only the
-kept cells, in float64. Either way the returned tail bound covers the
-analytic tail beyond the cutoff, the aliasing of the FFT and the
-rounding of both paths.
+anti-diagonals (`_sweep_rows`) in O(m_max N) time and writes the rows
+in place, in float64, through one O(m_max^2) block. Either way the
+returned tail bound covers the analytic tail beyond the cutoff, the
+aliasing of the FFT and the rounding of both paths.
 """
 
 import math
@@ -33,8 +33,16 @@ CERTIFIED = "certified_not_in_convex_hull"
 NO_NEGATIVITY = "no_negativity_found"
 
 
+def _finite(name, value):
+    """value as a float; a ValueError naming the argument if it is nan or infinite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _tau_of(lam):
-    lam = float(lam)
+    lam = _finite("lam", lam)
     if lam == 0.0:
         raise ValueError("dilatation parameter must be nonzero")
     return (lam * lam - 1.0) / (lam * lam + 1.0)
@@ -122,35 +130,53 @@ def _sweep_rows(m_max, tau, cuts):
     j + n = d it reads only the two previous diagonals, so three rolling
     long-double buffers carry it, in O(m_max N) work for N the largest
     cutoff N_j. Only the kept cells, j = start(d) .. min(d, m_max) with
-    start(d) the least j with j + N_j >= d, are rounded to float64, into
-    a diagonal-major buffer whose columns are the rows: the cells left
-    out include values below float64's range, which round about a
-    hundred times slower than normal ones.
+    start(d) the least j with j + N_j >= d, are rounded to float64: the
+    cells left out include values below float64's range, which round
+    about a hundred times slower than normal ones.
+
+    The kept cells of B = 4 (m_max + 1) consecutive diagonals go into a
+    (B, m_max + 1) float64 block whose column j holds cells n = d - j of
+    row j; after each block, every row it touched takes its contiguous
+    run from that column. So the working memory is the rows plus the
+    block, O(m_max^2), and no (diagonals, m_max + 1) buffer is built.
+    Each block costs one slice copy per row it touches: at m_max = 300,
+    lam = 2 this height makes 504 copies for 301 rows, where a block of
+    m_max + 1 diagonals would make 1526.
     """
     n_max = max(n for n, _ in cuts)
     tau_l = np.array(tau, dtype=np.longdouble)  # 0-d: cheaper per call than a scalar
     top = (1 - tau_l) * tau_l ** np.arange(n_max + 1)       # p_0[n]
     left = (1 - tau_l) * (-tau_l) ** np.arange(m_max + 1)   # p_j[0]
-    reach = np.maximum.accumulate([j + n for j, (n, _) in enumerate(cuts)])
+    ends = [j + n for j, (n, _) in enumerate(cuts)]         # last diagonal of row j
+    reach = np.maximum.accumulate(ends)
     diagonals = int(reach[-1]) + 1
     start = np.searchsorted(reach, np.arange(diagonals)).tolist()
-    kept = np.empty((diagonals, m_max + 1))
+    rows = [np.empty(n + 1) for n, _ in cuts]
+    height = 4 * (m_max + 1)
+    block = np.empty((height, m_max + 1))
     w2, w1, w = (np.zeros(m_max + 1, dtype=np.longdouble) for _ in range(3))
-    for d in range(diagonals):
-        a, b = max(1, d - n_max), min(m_max, d - 1)
-        if a <= b:
-            cur = w[a : b + 1]
-            np.subtract(w1[a : b + 1], w1[a - 1 : b], cur)
-            cur *= tau_l
-            cur += w2[a - 1 : b]
-        if d <= n_max:
-            w[0] = top[d]
-        if d <= m_max:
-            w[d] = left[d]
-        e = min(d, m_max) + 1
-        kept[d, start[d] : e] = w[start[d] : e]
-        w2, w1, w = w1, w, w2
-    return [kept[j : j + n + 1, j].copy() for j, (n, _) in enumerate(cuts)]
+    for d0 in range(0, diagonals, height):
+        d1 = min(d0 + height, diagonals)
+        for d in range(d0, d1):
+            a, b = max(1, d - n_max), min(m_max, d - 1)
+            if a <= b:
+                cur = w[a : b + 1]
+                np.subtract(w1[a : b + 1], w1[a - 1 : b], cur)
+                cur *= tau_l
+                cur += w2[a - 1 : b]
+            if d <= n_max:
+                w[0] = top[d]
+            if d <= m_max:
+                w[d] = left[d]
+            e = min(d, m_max) + 1
+            block[d - d0, start[d] : e] = w[start[d] : e]
+            w2, w1, w = w1, w, w2
+        # Rows below start[d0] end before d0; row j starts at diagonal j.
+        for j in range(start[d0], m_max + 1):
+            lo, hi = max(d0, j), min(d1 - 1, ends[j])
+            if lo <= hi:
+                rows[j][lo - j : hi - j + 1] = block[lo - d0 : hi - d0 + 1, j]
+    return rows
 
 
 # pi to long-double precision.
@@ -344,7 +370,7 @@ class ProbeResult:
 def _validate(m, eps):
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
         raise ValueError(f"Fock index must be a nonnegative integer, got {m!r}")
-    if eps <= 0.0:
+    if not _finite("eps", eps) > 0.0:
         raise ValueError(f"precision must be positive, got {eps!r}")
 
 
@@ -414,12 +440,13 @@ def dilated_fock_sweep(m_max, lam, eps=DEFAULT_EPS):
 
     Row m only feeds on row m - 1, so one pass of `_sweep_rows` to the
     largest cutoff N serves all m at once; each row is cut at its own
-    certified cutoff. The pass costs O(m_max N) long-double work and
-    float64 storage of the kept cells only, and its rows are bit for bit
-    those of the full (m_max + 1) x (N + 1) long-double table of the
-    same recursion. A sweep uses every row, so it runs the recursion
-    rather than one FFT per row. The recursion has no aliasing, so
-    tail_bound is the analytic tail plus the float64 allowance.
+    certified cutoff. The pass costs O(m_max N) long-double work; its
+    memory is the float64 rows plus a block of 4 (m_max + 1) x (m_max + 1)
+    float64 cells, and its rows are bit for bit those of the full
+    (m_max + 1) x (N + 1) long-double table of the same recursion. A
+    sweep uses every row, so it runs the recursion rather than one FFT
+    per row. The recursion has no aliasing, so tail_bound is the
+    analytic tail plus the float64 allowance.
     """
     _validate(m_max, eps)
     tau = _tau_of(lam)
@@ -477,17 +504,18 @@ def probe_fock_mixture(weights, lam, eps=DEFAULT_EPS):
     c = np.asarray(weights, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("weights must be a nonempty one-dimensional sequence")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("weights must be finite numbers")
     if np.any(c < 0.0):
         raise ValueError("weights must be nonnegative")
     total = float(np.sum(c))
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {total!r}")
-    if abs(float(lam)) <= 1.0:
+    if abs(_finite("lam", lam)) <= 1.0:
         raise ValueError(
             f"mixture probing requires a dilatation with |lam| > 1, got {lam!r}"
         )
-    if eps <= 0.0:
-        raise ValueError(f"precision must be positive, got {eps!r}")
+    _validate(c.size - 1, eps)
 
     m_top = c.size - 1
     tau = _tau_of(lam)
@@ -529,9 +557,9 @@ def airy_limit_error(k, m, lam):
     """
     if m < 1:
         raise ValueError(f"limit evaluation needs m >= 1, got {m!r}")
-    if not lam > 1.0:
+    if not _finite("lam", lam) > 1.0:
         raise ValueError(f"limit evaluation needs lam > 1, got {lam!r}")
-    if k == 0.0:
+    if _finite("k", k) == 0.0:
         return 0.0
     tau = _tau_of(lam)
     a_m = (1.0 - tau) / (m * tau * (1.0 + tau)) ** (1.0 / 3.0)

@@ -391,6 +391,29 @@ def test_limit_check_bad_m_list():
     assert main(["limit-check", "--lambda", "2", "--k", "1", "--m-list", "10,x"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["probe", "--weights", "0.5,nan", "--lambda", "2"], "weights"),
+        (["probe", "--weights=inf,0.5", "--lambda", "2"], "weights"),
+        (["probe", "--weights", "0.5,0.5", "--lambda", "nan"], "lam"),
+        (["probe", "--weights", "0.5,0.5", "--lambda", "inf"], "lam"),
+        (["probe", "--weights", "0.5,0.5", "--lambda", "2", "--epsilon", "nan"], "eps"),
+        (["probe", "--weights", "0.5,0.5", "--lambda", "2", "--epsilon", "inf"], "eps"),
+        (["limit-check", "--lambda", "2", "--k", "nan", "--m-list", "10"], "k"),
+        (["limit-check", "--lambda", "2", "--k=-inf", "--m-list", "10"], "k"),
+        (["limit-check", "--lambda", "nan", "--k", "1", "--m-list", "10"], "lam"),
+        (["limit-check", "--lambda", "inf", "--k", "1", "--m-list", "10"], "lam"),
+    ],
+)
+def test_nonfinite_arguments_fail_with_one_line(capsys, argv, name):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"{argv[0]}: {name} must be finite")
+
+
 def test_map_files_round_trip(tmp_path):
     gmap = q_exchange_example(2.0)
     p = tmp_path / "map.json"

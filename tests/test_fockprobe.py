@@ -341,6 +341,52 @@ def test_sweep_m500_memory():
     assert peak < 80e6
 
 
+def test_sweep_m500_memory_is_rows_plus_block():
+    """At M = 500, lam = 3 the working memory is the returned rows plus one
+    block of 4 (M + 1) diagonals (8 MB), not a (diagonals, M + 1) buffer
+    (46 MB, which made a 69 MB peak against 22 MB of rows)."""
+    tracemalloc.start()
+    try:
+        rows = dilated_fock_sweep(500, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row_bytes = sum(fc.coeffs.nbytes for fc in rows)
+    assert peak <= row_bytes + 10e6
+
+
+# (m_max, lam, eps) with the diagonal count D = max_j (j + N_j) + 1 below
+# one block of B = 4 (m_max + 1) diagonals, a multiple of B, and one past
+# a multiple; the test checks each case still has its named position.
+SWEEP_BLOCK_CASES = [
+    ("below", 3, 1.1, 1e-6),
+    ("below", 300, 1.2, 1e-12),
+    ("multiple", 0, 2.0, 1e-6),
+    ("multiple", 16, 2.0, 1e-12),
+    ("multiple", 66, 3.0, 1e-9),
+    ("past", 0, 1.2, 1e-12),
+    ("past", 5, 2.5, 1e-12),
+    ("past", 65, 3.0, 1e-9),
+]
+
+
+@pytest.mark.parametrize("position, m_max, lam, eps", SWEEP_BLOCK_CASES)
+def test_sweep_rows_equal_coefficient_table_at_block_edges(position, m_max, lam, eps):
+    tau = _tau_of(lam)
+    cuts = _sweep_cutoffs(range(m_max + 1), tau, eps)
+    diagonals = max(j + n for j, (n, _) in enumerate(cuts)) + 1
+    height = 4 * (m_max + 1)
+    assert {"below": diagonals < height,
+            "multiple": diagonals % height == 0,
+            "past": diagonals > height and diagonals % height == 1}[position]
+    table = coefficient_rows(m_max, tau, max(n for n, _ in cuts))
+    rows = dilated_fock_sweep(m_max, lam, eps)
+    for m, (fc, (n_cut, tail)) in enumerate(zip(rows, cuts)):
+        oracle = np.asarray(table[m, : n_cut + 1], dtype=float)
+        assert fc.truncation_N == n_cut and np.array_equal(fc.coeffs, oracle)
+        assert fc.tail_bound == tail + _representation_allowance(oracle)
+
+
 def test_trace_norm_sum_grows_in_m():
     # m = 2000 and 10^4 are the growth of acceptance criterion 8 past the
     # sizes a full coefficient table allows.
@@ -380,6 +426,29 @@ def test_probe_rejects_bad_weights():
         probe_fock_mixture([], 2.0)
 
 
+NONFINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_probe_rejects_nonfinite_arguments(bad):
+    for weights in ([0.5, bad], [bad, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            probe_fock_mixture(weights, 2.0)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        probe_fock_mixture([0.5, 0.5], bad)
+    with pytest.raises(ValueError, match="eps must be finite"):
+        probe_fock_mixture([0.5, 0.5], 2.0, eps=bad)
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_rows_and_sweeps_reject_nonfinite_arguments(bad):
+    for call in (dilated_fock_coefficients, dilated_fock_sweep, trace_norm_sum, hs_norm_check):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            call(5, bad)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            call(5, 2.0, bad)
+
+
 def test_probe_requires_strict_dilatation():
     with pytest.raises(ValueError):
         probe_fock_mixture([0.0, 1.0], 1.0)
@@ -413,3 +482,11 @@ def test_airy_limit_error_rejects_bad_arguments():
         airy_limit_error(1.0, 0, 2.0)
     with pytest.raises(ValueError):
         airy_limit_error(1.0, 100, 1.0)
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_airy_limit_error_rejects_nonfinite_arguments(bad):
+    with pytest.raises(ValueError, match="k must be finite"):
+        airy_limit_error(bad, 100, 2.0)
+    with pytest.raises(ValueError, match="lam"):
+        airy_limit_error(1.0, 100, bad)
