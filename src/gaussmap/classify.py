@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import GaussianMap, transposition_matrix
-from .symplectic import DEFAULT_TOL, is_symplectic, standard_form
+from .symplectic import DEFAULT_TOL, standard_form
 
 
 @dataclass
@@ -58,8 +58,9 @@ class ClassificationReport:
     solve_h carries its certificate (see HSolution), so a True one has
     h(c_star) >= 0 up to tolerance, where h(c) = lambda_min(alpha + i(D - c D_K)).
     The completely positive exit carries c_star = 1; fields an exit did
-    not compute are None. Every verdict allows tol * _tol_scale, so
-    is_cp implies is_g2g, which implies is_classical_g2g.
+    not compute are None. The two exits allow tol * _tol_scale and
+    solve_h allows tol * _scale(sizes, c_star), so is_cp implies is_g2g,
+    which implies is_classical_g2g.
     """
 
     is_g2g: bool
@@ -81,11 +82,11 @@ class NormalForm:
 
     kind names the rule that gave it: cp_only, dilatation_then_cp,
     transpose_then_cp or dilatation_transpose_then_cp for one mode (the
-    determinant ranges), homogeneous for a noiseless map on two or more
-    modes (lam is the scale sqrt|c| of K D K.T = c D, S symplectic), and
-    homogeneous_factoring for the rest (read off the feasible interval of
-    h). transposed is b. The residual map (S, alpha, y0) is the
-    completely positive factor.
+    determinant ranges); on two or more modes the factor is read off the
+    feasible interval of h, and kind is homogeneous for a noiseless map
+    (then K D K.T = lam**2 D up to T, and S is symplectic) and
+    homogeneous_factoring for the rest. transposed is b. The residual map
+    (S, alpha, y0) is the completely positive factor.
     """
 
     kind: str
@@ -120,18 +121,29 @@ _WITNESS_STEP = 1e-6
 
 
 def _h_forms(gmap):
-    """(A, G, scale) with A = alpha + i D and G = i D_K, so h(c) = lambda_min(A - c G).
+    """(A, G, sizes) with A = alpha + i D and G = i D_K, so h(c) = lambda_min(A - c G).
 
-    scale, the largest of 1, max |alpha| and max |D_K|, multiplies every
-    tolerance (see _tol_scale).
+    sizes = (max |alpha|, max |D_K|) gives the tolerance scale at every
+    c (see _scale).
     """
     dk = delta_K(gmap)
-    scale = max(1.0, float(np.max(np.abs(gmap.alpha))), float(np.max(np.abs(dk))))
-    return gmap.alpha + 1j * standard_form(gmap.n), 1j * dk, scale
+    sizes = (float(np.max(np.abs(gmap.alpha))), float(np.max(np.abs(dk))))
+    return gmap.alpha + 1j * standard_form(gmap.n), 1j * dk, sizes
+
+
+def _scale(sizes, c=1.0):
+    """max(1, max |alpha|, |c| max |D_K|), the size of A - c G.
+
+    Forming A - c G and a backward-stable eigh of it round h(c) by a
+    small multiple of the unit roundoff times this size (Demmel, Applied
+    Numerical Linear Algebra, 1997, ch. 5), so every test of h(c) allows
+    tol times it. _tol_scale is its value at c = 1.
+    """
+    return max(1.0, sizes[0], abs(c) * sizes[1])
 
 
 def _tol_scale(gmap):
-    return _h_forms(gmap)[2]
+    return _scale(_h_forms(gmap)[2])
 
 
 def solve_h(gmap):
@@ -170,7 +182,8 @@ def solve_h(gmap):
     Returns:
         HSolution.
     """
-    return _solve_h(*_h_forms(gmap))[0]
+    A, G, sizes = _h_forms(gmap)
+    return _solve_h(A, G, _scale(sizes))[0]
 
 
 def _solve_h(A, G, scale):
@@ -258,8 +271,8 @@ def is_cp(gmap, tol=DEFAULT_TOL):
     with the determinant test sqrt(det alpha) >= |1 - det K| whenever
     alpha is positive semidefinite.
     """
-    A, G, scale = _h_forms(gmap)
-    return bool(np.linalg.eigvalsh(A - G)[0] >= -tol * scale)
+    A, G, sizes = _h_forms(gmap)
+    return bool(np.linalg.eigvalsh(A - G)[0] >= -tol * _scale(sizes))
 
 
 def is_classical_g2g(gmap, tol=DEFAULT_TOL):
@@ -272,7 +285,7 @@ def is_g2g(gmap, tol=DEFAULT_TOL):
 
     The verdict of classify, on any number of modes: h_max >= 0 (see
     solve_h) unless complete positivity or a negative eigenvalue of alpha
-    decides first. Every comparison allows tol times _tol_scale.
+    decides first, with the allowances of classify.
 
     Returns:
         True or False.
@@ -283,13 +296,13 @@ def is_g2g(gmap, tol=DEFAULT_TOL):
 def classify(gmap, tol=DEFAULT_TOL):
     """Full classification report for one map, on any number of modes.
 
-    One decision sequence, with every comparison allowing
-    atol = tol * _tol_scale: the map is G2G if it is completely positive
-    (h(1) >= -atol); it is not if alpha has an eigenvalue below -atol,
-    whose real eigenvector is the witness; otherwise solve_h decides by
-    h_max >= -atol, and a False verdict takes its witness from
-    _max_h_witness. For one mode D_K = det K D, so this reproduces the
-    determinant test alpha >= 0 and sqrt(det alpha) >= 1 - |det K|. The
+    One decision sequence, with atol = tol * _tol_scale: the map is G2G
+    if it is completely positive (h(1) >= -atol); it is not if alpha has
+    an eigenvalue below -atol, whose real eigenvector is the witness;
+    otherwise solve_h decides by h_max >= -tol * _scale(sizes, c_star),
+    from the size of A - c_star G, and a False verdict takes its witness
+    from _max_h_witness. For one mode D_K = det K D, so this reproduces
+    the determinant test alpha >= 0 and sqrt(det alpha) >= 1 - |det K|. The
     forms of h are built once and shared by every step. A False verdict
     carries a violating direction, and a verdict from solve_h carries its
     certificate (see ClassificationReport).
@@ -297,9 +310,9 @@ def classify(gmap, tol=DEFAULT_TOL):
     return _classify(gmap, *_h_forms(gmap), tol)
 
 
-def _classify(gmap, A, G, scale, tol):
+def _classify(gmap, A, G, sizes, tol):
     """classify on the forms of _h_forms."""
-    atol = tol * scale
+    atol = tol * _scale(sizes)
     w_a, v_a = np.linalg.eigh(gmap.alpha)
     cp = bool(np.linalg.eigvalsh(A - G)[0] >= -atol)
     report = partial(ClassificationReport, is_cp=cp, is_classical_g2g=bool(w_a[0] >= -atol))
@@ -313,8 +326,8 @@ def _classify(gmap, A, G, scale, tol):
             margin=a_min,
             method="negative_alpha",
         )
-    solution, bracket = _solve_h(A, G, scale)
-    if solution.h_max >= -atol:
+    solution, bracket = _solve_h(A, G, _scale(sizes))
+    if solution.h_max >= -tol * _scale(sizes, solution.c_star):
         return report(is_g2g=True, margin=max(solution.h_max, 0.0), **vars(solution))
     w, objective = _max_h_witness(gmap, G, *bracket)
     return report(
@@ -392,70 +405,50 @@ def q_exchange_example(nu):
     return GaussianMap(K=K, alpha=np.eye(4))
 
 
-def _factor_interval(gmap, interval, tol):
+def _factor_interval(gmap, A, G, sizes, interval, tol):
     """Read K = K' . T^b . (lam identity) with K' CP off a feasible interval of h.
 
-    K' = K T^b / lam is CP exactly when h(c) >= 0 at c = 1 / lam**2
-    (b = 0) or c = -1 / lam**2 (b = 1, as T flips the sign of D_K). So the
-    end of (c_lo, c_hi) with the largest |c| gives the smallest lam; the
-    transposition is taken only when it lowers lam by more than tol, and
-    the residual must pass is_cp. Ends with |c| < 1e-4 (lam > 100) do not
-    count: both counterexample families touch zero at c = 0 with a
-    quadratic decay, and the feasible sliver of width ~sqrt(floor) around
-    it is a limit of ever-larger dilatations, not a factoring.
+    K' = K T^b / lam has D_K' = c D_K with c = 1 / lam**2 (b = 0) or
+    -1 / lam**2 (b = 1, as T flips the sign of D_K), so it is CP exactly
+    when h(c) >= -tol * _scale(sizes, c), the verdict's test at c; with
+    alpha = 0 that bounds ||D - c D_K||_2, so S is symplectic within it.
+    The end with the largest |c| gives the smallest lam; the transposition
+    is taken only when it lowers lam by more than tol. Ends with
+    |c| max(1, max |D_K|) < 1e-4 do not count: both counterexample
+    families (max |D_K| of order 1) touch zero at c = 0 with a quadratic
+    decay, and the feasible sliver of width ~sqrt(floor) around it is a
+    limit of ever-larger dilatations, not a factoring. K = 150 I
+    (c = 1 / 22500) still counts.
 
     Returns:
-        None when interval is None or no end qualifies, else a tuple
-        (lam, transposed, residual GaussianMap).
+        None when no end qualifies, else (lam, transposed, residual GaussianMap).
     """
-    if interval is None:
-        return None
     best = None
-    for c, transposed in ((interval[1], False), (-interval[0], True)):
-        if c < 1e-4:
+    for end, transposed in ((interval[1], False), (interval[0], True)):
+        c = -end if transposed else end
+        if c * max(1.0, sizes[1]) < 1e-4:
             continue
         lam = 1.0 / math.sqrt(c)
         if best is not None and lam >= best[0] - tol:
             continue
-        residual = _residual(gmap, lam, transposed)
-        if is_cp(residual, tol):
-            best = (lam, transposed, residual)
+        if np.linalg.eigvalsh(A - end * G)[0] >= -tol * _scale(sizes, end):
+            best = (lam, transposed, _residual(gmap, lam, transposed))
     return best
 
 
-def _noiseless_form(gmap, dk, scale, tol):
-    """Normal form of a noiseless map (alpha = 0) with D_K = dk.
+def _noiseless_rejection(gmap, G, sizes, tol):
+    """Why a rejected noiseless map is not G2G: K D K.T must be c D with |c| >= 1.
 
-    Such a map is Gaussian-to-Gaussian exactly when K D K.T = c D for a
-    scalar with |c| >= 1; then K = S . T^b . kappa with kappa = sqrt(|c|),
-    b = (c < 0), and S symplectic. Both tests allow classify's tol * scale
-    on h (scale from _h_forms): h(1/c) = -||dk - c D||_2 / |c|, and
-    h(sign c) = |c| - 1 when dk = c D. The symplectic check of S keeps its
-    own absolute tolerance, so no factor that misses it is returned.
-
-    Raises:
-        ValueError: when D_K is not proportional to D or the scale is below one.
+    c is the least-squares fit. For |c| >= 1 the misfit is the reason;
+    below 1 the contraction is, unless the misfit ||D_K - c D||_2 exceeds
+    tol * max(|c|, max |D_K|), |c| times the verdict's allowance at 1 / c.
     """
     delta = standard_form(gmap.n)
-    c = float(np.sum(dk * delta) / np.sum(delta * delta))
-    residual = float(np.linalg.norm(dk - c * delta, 2))
-    if residual > tol * scale * abs(c):
-        raise ValueError(
-            "K D K.T is not proportional to D "
-            f"(proportionality residual {residual:.3e}); "
-            "a noiseless map of this form is not Gaussian-to-Gaussian"
-        )
-    if abs(c) < 1.0 - tol * scale:
-        raise ValueError(
-            f"scale |c| = {abs(c):.6g} is below 1; the map contracts "
-            "the canonical form and is not Gaussian-to-Gaussian"
-        )
-    kappa, transposed = math.sqrt(abs(c)), c < 0
-    S = _residual(gmap, kappa, transposed).K
-    if not is_symplectic(S, tol=max(tol * 1e3, 1e-6)):
-        raise ValueError("recovered factor failed the symplectic check")
-    alpha = np.zeros_like(gmap.alpha)
-    return NormalForm("homogeneous", kappa, transposed, S, alpha, gmap.y0.copy())
+    c = float(np.sum(G.imag * delta) / np.sum(delta * delta))
+    misfit = float(np.linalg.norm(G.imag - c * delta, 2))
+    if abs(c) >= 1.0 or misfit > tol * max(abs(c), sizes[1]):
+        return f"K D K.T is not proportional to D (proportionality residual {misfit:.3e})"
+    return f"scale |c| = {abs(c):.6g} is below 1; the map contracts the canonical form"
 
 
 def _one_mode_form(gmap, tol):
@@ -483,32 +476,35 @@ def _one_mode_form(gmap, tol):
 def decompose(gmap, tol=DEFAULT_TOL):
     """Normal form K = S . T^b . (lam identity) of a map, with (S, alpha, y0) CP.
 
-    The forms of h are built once (see _h_forms), and one rule applies:
-    a noiseless map on two or more modes (max |alpha| <= tol * _tol_scale)
-    factors by the proportionality K D K.T = c D, with lam = sqrt|c|
-    (kind homogeneous); a one-mode map passes classify and takes the kind
-    of its determinant range, with lam = sqrt|det K|; any other map
-    passes classify, and the factoring is read off the feasible interval
-    of h by _factor_interval, or off (1, 1) for a CP map, which factors
-    with lam = 1 (kind homogeneous_factoring).
+    Every map passes classify first, on forms of h built once (see
+    _h_forms). A one-mode map takes the kind of its determinant range,
+    with lam = sqrt|det K|. Any other map is read off the feasible
+    interval of h by _factor_interval, or off (1, 1) for a CP map and
+    (c*, c*) when h_max passes the verdict but not the solve's floor; its
+    kind is homogeneous for a noiseless map (max |alpha| <= tol *
+    _tol_scale) and homogeneous_factoring otherwise.
 
     Returns:
         NormalForm, or None when the map is Gaussian-to-Gaussian but does
         not factor (as for both counterexample families).
 
     Raises:
-        ValueError: when the map is not Gaussian-to-Gaussian, with the reason.
+        ValueError: when the map is not Gaussian-to-Gaussian, with the
+        reason (for a noiseless map: K D K.T is not proportional to D, or
+        its scale is below 1).
     """
-    A, G, scale = _h_forms(gmap)
-    if gmap.n > 1 and float(np.max(np.abs(gmap.alpha))) <= tol * scale:
-        return _noiseless_form(gmap, G.imag, scale, tol)
-    report = _classify(gmap, A, G, scale, tol)
+    A, G, sizes = _h_forms(gmap)
+    report = _classify(gmap, A, G, sizes, tol)
+    noiseless = sizes[0] <= tol * _scale(sizes)
     if not report.is_g2g:
-        raise ValueError("map is not Gaussian-to-Gaussian; no normal form exists")
+        reason = _noiseless_rejection(gmap, G, sizes, tol) if noiseless else "no normal form exists"
+        raise ValueError(f"map is not Gaussian-to-Gaussian; {reason}")
     if gmap.n == 1:
         return _one_mode_form(gmap, tol)
-    factoring = _factor_interval(gmap, (1.0, 1.0) if report.is_cp else report.interval, tol)
+    interval = (1.0, 1.0) if report.is_cp else report.interval or (report.c_star,) * 2
+    factoring = _factor_interval(gmap, A, G, sizes, interval, tol)
     if factoring is None:
         return None
     lam, transposed, r = factoring
-    return NormalForm("homogeneous_factoring", lam, transposed, r.K, r.alpha, r.y0)
+    kind = "homogeneous" if noiseless else "homogeneous_factoring"
+    return NormalForm(kind, lam, transposed, r.K, r.alpha, r.y0)

@@ -45,7 +45,10 @@ def _tau_of(lam):
     lam = _finite("lam", lam)
     if lam == 0.0:
         raise ValueError("dilatation parameter must be nonzero")
-    return (lam * lam - 1.0) / (lam * lam + 1.0)
+    tau = (lam * lam - 1.0) / (lam * lam + 1.0)
+    if not abs(tau) < 1.0:
+        raise ValueError(f"lam = {lam!r} gives tau = {tau!r} in double precision, not |tau| < 1")
+    return tau
 
 
 def _log_tail(m, tau, k):
@@ -555,7 +558,7 @@ def airy_limit_error(k, m, lam):
         m: Fock index, at least 1.
         lam: dilatation parameter, greater than 1.
     """
-    if m < 1:
+    if not m >= 1:
         raise ValueError(f"limit evaluation needs m >= 1, got {m!r}")
     if not _finite("lam", lam) > 1.0:
         raise ValueError(f"limit evaluation needs lam > 1, got {lam!r}")

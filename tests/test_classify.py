@@ -477,13 +477,15 @@ def test_solve_h_upper_bound_and_feasible_ends(n, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2])
 def test_alpha_threshold_shared_by_g2g_and_classical(n):
     """One threshold, tol * _tol_scale, reads alpha for both verdicts: with
-    K = 100 I the scale is 1e4, so an eigenvalue of -1e-6 is zero for both,
-    and CP implies G2G implies classical."""
+    K = 100 I the scale is 1e4, so an eigenvalue of -1e-6 is zero for both.
+    The solve's verdict allows only tol * scale(c*) = tol at c* = 1e-4,
+    where h_max = -1e-6, so the map is classical but not G2G. CP implies
+    G2G implies classical."""
     alpha = np.eye(2 * n)
     alpha[-1, -1] = -1e-6
     gmap = GaussianMap(K=100.0 * np.eye(2 * n), alpha=alpha)
     report = classify(gmap)
-    assert report.is_g2g is True and report.is_classical_g2g is True
+    assert report.is_g2g is False and report.is_classical_g2g is True
     assert is_classical_g2g(gmap) is True
     rng = np.random.default_rng(61 + n)
     for _ in range(100):

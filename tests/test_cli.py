@@ -414,6 +414,15 @@ def test_nonfinite_arguments_fail_with_one_line(capsys, argv, name):
     assert captured.err.startswith(f"{argv[0]}: {name} must be finite")
 
 
+def test_limit_check_lam_beyond_double_precision_fails(capsys):
+    """lam = 1e200 overflows lam * lam, so tau is NaN: one line naming lam, exit 1."""
+    assert main(["limit-check", "--lambda", "1e200", "--k", "1", "--m-list", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("limit-check: lam = 1e+200 gives tau")
+
+
 def test_map_files_round_trip(tmp_path):
     gmap = q_exchange_example(2.0)
     p = tmp_path / "map.json"

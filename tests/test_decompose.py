@@ -14,7 +14,7 @@ from gaussmap import (
     standard_form,
     transposition_matrix,
 )
-from gaussmap.classify import _factor_interval
+from gaussmap.classify import _factor_interval, _h_forms
 from gaussmap.symplectic import DEFAULT_TOL
 from helpers import random_symplectic
 from scipy.linalg import expm
@@ -248,7 +248,9 @@ def test_factoring_tie_takes_no_transposition():
     # h(c) = 2 - |1 - c| >= 0 on all of [-1, 1]: both ends give lam = 1.
     # The map is CP, so decompose reads (1, 1); the interval rule is checked as well.
     gmap = GaussianMap(K=np.eye(4), alpha=2.0 * np.eye(4), y0=np.zeros(4))
-    lam, transposed, residual = _factor_interval(gmap, solve_h(gmap).interval, DEFAULT_TOL)
+    lam, transposed, residual = _factor_interval(
+        gmap, *_h_forms(gmap), solve_h(gmap).interval, DEFAULT_TOL
+    )
     assert lam == 1.0
     assert not transposed
     assert np.array_equal(residual.K, gmap.K)
@@ -257,14 +259,14 @@ def test_factoring_tie_takes_no_transposition():
     assert np.array_equal(nf.S, gmap.K)
 
 
-def _perturbed_noiseless(k, rel):
-    """K = k I on two modes with K[0, 0] scaled by 1 + rel, alpha = 0."""
+def _perturbed_noiseless(k, rel, j=0):
+    """K = k I on two modes with K[j, j] scaled by 1 + rel, alpha = 0."""
     K = k * np.eye(4)
-    K[0, 0] *= 1.0 + rel
+    K[j, j] *= 1.0 + rel
     return GaussianMap(K=K, alpha=np.zeros((4, 4)), y0=np.zeros(4))
 
 
-@pytest.mark.parametrize("k, rel", [(10.0, 1e-7), (2.0, 2e-9), (2.0, 5e-9)])
+@pytest.mark.parametrize("k, rel", [(2.0, 1e-9), (10.0, 1e-9)])
 def test_noiseless_boundary_follows_classify(k, rel):
     """Near-proportional maps that classify calls G2G within tol * scale on h
     factor as homogeneous."""
@@ -296,6 +298,32 @@ def test_noiseless_rejection_matches_classify(k):
         verdicts.add(is_g2g)
         if is_g2g:
             assert decompose(gmap).kind == "homogeneous", rel
+        else:
+            with pytest.raises(ValueError, match="not Gaussian-to-Gaussian"):
+                decompose(gmap)
+    assert verdicts == {True, False}
+
+
+def test_noiseless_decompose_raises_exactly_where_classify_rejects():
+    """At K = 150 I and 1000 I, with K[j, j] (j = 0, 1, 3) scaled by 1 + rel
+    for rel from 1e-10 to 1e-5, decompose raises "not Gaussian-to-Gaussian"
+    exactly where classify says not G2G, and every S it returns is
+    symplectic. The first three maps have h_max of -5.0e-8, -1.0e-9 and
+    -2.5e-9 at c* with scale(c*) = 1, below tol = 1e-9, so they must raise."""
+    must_raise = [(10.0, 1e-7, 0), (2.0, 2e-9, 0), (2.0, 5e-9, 0)]
+    rels = np.logspace(-10, -5, 51)
+    sweep = [(k, rel, j) for k in (150.0, 1000.0) for j in (0, 1, 3) for rel in rels]
+    verdicts = set()
+    for k, rel, j in must_raise + sweep:
+        gmap = _perturbed_noiseless(k, rel, j)
+        is_g2g = classify(gmap).is_g2g
+        if (k, rel, j) in must_raise:
+            assert not is_g2g, (k, rel)
+        verdicts.add(is_g2g)
+        if is_g2g:
+            nf = decompose(gmap)
+            assert nf.kind == "homogeneous", (k, j, rel)
+            assert is_symplectic(nf.S, tol=1e-6), (k, j, rel)
         else:
             with pytest.raises(ValueError, match="not Gaussian-to-Gaussian"):
                 decompose(gmap)

@@ -484,6 +484,23 @@ def test_airy_limit_error_rejects_bad_arguments():
         airy_limit_error(1.0, 100, 1.0)
 
 
+@pytest.mark.parametrize("lam, tau", [(1e9, "1.0"), (1e-200, "-1.0"), (1e200, "nan")])
+def test_rows_reject_lam_whose_tau_rounds_to_the_unit_circle(lam, tau):
+    """tau = (lam^2 - 1) / (lam^2 + 1) is exactly 1.0 from |lam| of about 1e8
+    up, -1.0 below about 1e-8, and NaN once lam * lam overflows; each call
+    names lam instead of dividing by 1 - |tau| = 0 or taking int of NaN."""
+    for call in (dilated_fock_coefficients, dilated_fock_sweep, trace_norm_sum, hs_norm_check):
+        with pytest.raises(ValueError, match=f"lam = .* gives tau = {tau} in double precision"):
+            call(5, lam)
+    with pytest.raises(ValueError, match="lam"):
+        airy_limit_error(1.0, 10, lam)
+
+
+def test_airy_limit_error_rejects_nan_m():
+    with pytest.raises(ValueError, match="m >= 1"):
+        airy_limit_error(1.0, math.nan, 2.0)
+
+
 @pytest.mark.parametrize("bad", NONFINITE)
 def test_airy_limit_error_rejects_nonfinite_arguments(bad):
     with pytest.raises(ValueError, match="k must be finite"):
