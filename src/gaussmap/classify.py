@@ -190,8 +190,11 @@ def _solve_h(A, G, scale):
     """solve_h on the forms of _h_forms.
 
     Returns:
-        (HSolution, (v_lo, v_hi)), the bottom eigenvectors at the two ends
-        of the final bracket of the maximum, for _max_h_witness.
+        (HSolution, (v_lo, v_hi), ends): v_lo and v_hi are the bottom
+        eigenvectors at the two ends of the final bracket of the maximum,
+        for _max_h_witness; ends is ((c_lo, h(c_lo)), (c_hi, h(c_hi))) at
+        the ends of the feasible interval, each a cut already made, or None
+        with the interval.
     """
     floor = 1e-13 * scale
     cuts = []
@@ -219,17 +222,20 @@ def _solve_h(A, G, scale):
     c_star, h_max = best[0], best[1]
 
     def end(side):
+        # With no cut outside on this side, the end is the cut at c = side.
         outside = [p for p in cuts if side * (p[0] - c_star) > 0.0 and p[1] < -floor]
-        c, h, g, _ = min(outside, key=lambda p: abs(p[0] - c_star), default=(side, 0.0, 0.0, None))
+        c, h, g, _ = min(outside, key=lambda p: abs(p[0] - c_star), default=cuts[side > 0])
         while h < -floor:
             x = c + (min(0.0, h_max) - h) / g
             if not 0.0 < side * (x - c_star) < side * (c - c_star):
-                return c_star
+                return c_star, h_max
             c, h, g, _ = cut(x)
-        return c
+        return c, h
 
-    interval = (end(-1.0), end(1.0)) if h_max >= -floor else None
-    return HSolution(h_max, c_star, max(upper, h_max), interval, len(cuts)), (lo[3], hi[3])
+    ends = (end(-1.0), end(1.0)) if h_max >= -floor else None
+    interval = (ends[0][0], ends[1][0]) if ends else None
+    solution = HSolution(h_max, c_star, max(upper, h_max), interval, len(cuts))
+    return solution, (lo[3], hi[3]), ends
 
 
 def _max_h_witness(gmap, G, v_l, v_r):
@@ -307,17 +313,26 @@ def classify(gmap, tol=DEFAULT_TOL):
     carries a violating direction, and a verdict from solve_h carries its
     certificate (see ClassificationReport).
     """
-    return _classify(gmap, *_h_forms(gmap), tol)
+    return _classify(gmap, *_h_forms(gmap), tol)[0]
 
 
 def _classify(gmap, A, G, sizes, tol):
-    """classify on the forms of _h_forms."""
+    """classify on the forms of _h_forms.
+
+    Returns:
+        (report, ends). For a G2G verdict, ends = ((c_lo, h(c_lo)), (c_hi,
+        h(c_hi))) are the points decompose factors at, with the values of h
+        already computed there: (1, 1) for a CP map, the feasible interval,
+        or (c_star, c_star) when h_max passes the verdict but not the
+        solve's floor. None for a False verdict.
+    """
     atol = tol * _scale(sizes)
     w_a, v_a = np.linalg.eigh(gmap.alpha)
-    cp = bool(np.linalg.eigvalsh(A - G)[0] >= -atol)
+    h_one = float(np.linalg.eigvalsh(A - G)[0])
+    cp = h_one >= -atol
     report = partial(ClassificationReport, is_cp=cp, is_classical_g2g=bool(w_a[0] >= -atol))
     if cp:
-        return report(is_g2g=True, method="cp_implies_g2g", c_star=1.0)
+        return report(is_g2g=True, method="cp_implies_g2g", c_star=1.0), ((1.0, h_one),) * 2
     if w_a[0] < -atol:
         a_min = float(w_a[0])
         return report(
@@ -325,17 +340,18 @@ def _classify(gmap, A, G, sizes, tol):
             witness=Witness(w=v_a[:, 0].astype(complex), objective=a_min),
             margin=a_min,
             method="negative_alpha",
-        )
-    solution, bracket = _solve_h(A, G, _scale(sizes))
+        ), None
+    solution, bracket, ends = _solve_h(A, G, _scale(sizes))
     if solution.h_max >= -tol * _scale(sizes, solution.c_star):
-        return report(is_g2g=True, margin=max(solution.h_max, 0.0), **vars(solution))
+        ends = ends or ((solution.c_star, solution.h_max),) * 2
+        return report(is_g2g=True, margin=max(solution.h_max, 0.0), **vars(solution)), ends
     w, objective = _max_h_witness(gmap, G, *bracket)
     return report(
         is_g2g=False,
         witness=Witness(w=w, objective=objective),
         margin=objective,
         **vars(solution),
-    )
+    ), None
 
 
 def _residual(gmap, lam, transposed):
@@ -405,8 +421,12 @@ def q_exchange_example(nu):
     return GaussianMap(K=K, alpha=np.eye(4))
 
 
-def _factor_interval(gmap, A, G, sizes, interval, tol):
+def _factor_interval(gmap, sizes, ends, tol):
     """Read K = K' . T^b . (lam identity) with K' CP off a feasible interval of h.
+
+    ends = ((c_lo, h(c_lo)), (c_hi, h(c_hi))) as _classify returns them:
+    every end is a point where h was already computed, so reading it costs
+    no eigensolve.
 
     K' = K T^b / lam has D_K' = c D_K with c = 1 / lam**2 (b = 0) or
     -1 / lam**2 (b = 1, as T flips the sign of D_K), so it is CP exactly
@@ -424,14 +444,14 @@ def _factor_interval(gmap, A, G, sizes, interval, tol):
         None when no end qualifies, else (lam, transposed, residual GaussianMap).
     """
     best = None
-    for end, transposed in ((interval[1], False), (interval[0], True)):
+    for (end, h), transposed in ((ends[1], False), (ends[0], True)):
         c = -end if transposed else end
         if c * max(1.0, sizes[1]) < 1e-4:
             continue
         lam = 1.0 / math.sqrt(c)
         if best is not None and lam >= best[0] - tol:
             continue
-        if np.linalg.eigvalsh(A - end * G)[0] >= -tol * _scale(sizes, end):
+        if h >= -tol * _scale(sizes, end):
             best = (lam, transposed, _residual(gmap, lam, transposed))
     return best
 
@@ -482,7 +502,9 @@ def decompose(gmap, tol=DEFAULT_TOL):
     interval of h by _factor_interval, or off (1, 1) for a CP map and
     (c*, c*) when h_max passes the verdict but not the solve's floor; its
     kind is homogeneous for a noiseless map (max |alpha| <= tol *
-    _tol_scale) and homogeneous_factoring otherwise.
+    _tol_scale) and homogeneous_factoring otherwise. h at those ends is
+    the value classify computed, so decompose makes exactly the
+    eigensolves of one classify.
 
     Returns:
         NormalForm, or None when the map is Gaussian-to-Gaussian but does
@@ -494,15 +516,14 @@ def decompose(gmap, tol=DEFAULT_TOL):
         its scale is below 1).
     """
     A, G, sizes = _h_forms(gmap)
-    report = _classify(gmap, A, G, sizes, tol)
+    report, ends = _classify(gmap, A, G, sizes, tol)
     noiseless = sizes[0] <= tol * _scale(sizes)
     if not report.is_g2g:
         reason = _noiseless_rejection(gmap, G, sizes, tol) if noiseless else "no normal form exists"
         raise ValueError(f"map is not Gaussian-to-Gaussian; {reason}")
     if gmap.n == 1:
         return _one_mode_form(gmap, tol)
-    interval = (1.0, 1.0) if report.is_cp else report.interval or (report.c_star,) * 2
-    factoring = _factor_interval(gmap, A, G, sizes, interval, tol)
+    factoring = _factor_interval(gmap, sizes, ends, tol)
     if factoring is None:
         return None
     lam, transposed, r = factoring

@@ -13,8 +13,11 @@ convex-hull certificate), and evaluates the oscillatory large-m limit
 of g_m along its natural scaling.
 
 A single row and a mixture sum_m c_m g_m are read off samples on the
-unit circle by one long-double FFT (`_fft_coefficients`), in
-O(N log N) time and O(N) memory for N coefficients. A sweep needs
+unit circle by one long-double FFT of the Hermitian half of the circle
+(`_fft_coefficients`), in O(N log N) time and O(N) memory for N
+coefficients. Each sample is g_0 times a polynomial in the unimodular
+s = (z - tau) / (1 - tau z), formed by divisions and binary powering
+with no transcendental function beyond the grid point z. A sweep needs
 every row up to m_max; it runs a long-double recursion along
 anti-diagonals (`_sweep_rows`) in O(m_max N) time and writes the rows
 in place, in float64, through one O(m_max^2) block. Either way the
@@ -68,6 +71,10 @@ def _log_tail(m, tau, k):
     return log_pref + log_binom + (k + 1.0) * math.log(t) - math.log(1.0 - rho)
 
 
+# Largest k that _tail_cutoff searches: 10^9 coefficients, 8 GB of float64 per row.
+_MAX_TAIL_K = 10**9
+
+
 def _tail_cutoff(m, tau, eps, k_start=None):
     """Smallest N = m + k, k > k_lo, with the analytic tail bound below eps.
 
@@ -80,6 +87,10 @@ def _tail_cutoff(m, tau, eps, k_start=None):
     Returns:
         (N, tail_bound) with tail_bound the certified bound actually
         achieved at the returned N.
+
+    Raises:
+        ValueError: when k would pass _MAX_TAIL_K, naming |lam| =
+        sqrt((1 + tau) / (1 - tau)) (lam and -lam share tau).
     """
     t = abs(tau)
     if t == 0.0:
@@ -94,8 +105,12 @@ def _tail_cutoff(m, tau, eps, k_start=None):
     hi, gap = max(k_start or 8, lo + 1), 1
     while not below(hi):
         lo, hi, gap = hi, hi + gap, 2 * gap
-        if hi > 10**9:
-            raise RuntimeError("tail cutoff search failed to terminate")
+        if hi > _MAX_TAIL_K:
+            lam = math.sqrt((1.0 + tau) / (1.0 - tau))
+            raise ValueError(
+                f"|lam| = {lam:.3g} (tau = {tau!r}) needs a tail cutoff of more than"
+                f" 10^9 coefficients for Fock index {m}"
+            )
     while hi - gap > lo and below(hi - gap):
         hi, gap = hi - gap, 2 * gap
     lo = max(lo, hi - gap)
@@ -202,28 +217,44 @@ def _smooth_length(n):
     return best
 
 
+def _times_power(acc, s, k):
+    """acc *= s**k in place by binary powering, in at most 2 log2(k) products.
+
+    The squares s^(2^j) overwrite one scratch array; a gap of 1 costs one
+    product and k = 0 none.
+    """
+    base = s
+    while True:
+        if k & 1:
+            acc *= base
+        k >>= 1
+        if not k:
+            return
+        base = base * base if base is s else np.multiply(base, base, out=base)
+
+
 def _fft_coefficients(weights, tau, n_cut):
     """Coefficients 0..n_cut of sum_m weights[m] g_m by one long-double FFT.
 
-    On the unit circle z = e^(i theta) write w = 1 - tau e^(-i theta) =
-    b + i a with a = tau sin(theta), b = 1 - tau cos(theta), r = |w| and
-    psi = arg w. Then 1 - tau z = r e^(-i psi), z - tau = e^(i theta) r
-    e^(i psi), and
+    On the unit circle z = e^(i theta) write w = 1 - tau z. Then
 
-        g_m(z) = R e^(i psi) s^m,  R = (1 - tau) / r,
-        s = (z - tau) / (1 - tau z) = e^(i phi),  phi = theta + 2 psi,
+        g_m(z) = g_0 s^m,  g_0 = (1 - tau) / w,  s = (z - tau) / w,
 
-    so every g_m has the modulus R of g_0 and the mixture is g_0 times the
+    and |s| = 1, as |z - tau| = |w| there. So the mixture is g_0 times the
     polynomial sum_m c_m s^m, evaluated by Horner's rule over the nonzero
-    weights (a gap of k indices multiplies by e^(i k phi)). A single row
-    is the one-term case: one phase, O(L) work; a mixture up to M costs
-    O(M L) and no table. The samples are taken at theta_k = 2 pi k / L,
-    k <= L/2; the other half follows exactly from g(conj z) = conj g(z),
-    since tau is real. L is the smallest 2-3-5-smooth length above both
-    n_cut and the index where the analytic tail of g_M (M the top index)
-    falls below u, defined below: that costs a few dozen extra samples
-    and keeps the aliasing under the rounding, so the coefficients agree
-    with the rows of `_sweep_rows` to rounding.
+    weights: a gap of k indices multiplies by s^k, formed by binary
+    powering (`_times_power`), and the last step by s^prev g_0, prev the
+    lowest index. Apart from the grid point z itself, each sample costs
+    two divisions and products only, no transcendental function. A single
+    row is the one-term case, about 2 log2(m) products per sample; a
+    dense mixture up to M costs O(M L) and no table. The samples are
+    taken at theta_k = 2 pi k / L, k <= L/2, and np.fft.hfft transforms
+    them as the Hermitian signal they are: g(conj z) = conj g(z), since
+    tau is real. L is the smallest 2-3-5-smooth length above both n_cut
+    and the index where the analytic tail of g_M (M the top index) falls
+    below u, defined below: that costs a few dozen extra samples and
+    keeps the aliasing under the rounding, so the coefficients agree with
+    the rows of `_sweep_rows` to rounding.
 
     Aliasing. g_m is analytic for |z| < 1/|tau|, so its sampled DFT is
     exactly (1/L) sum_k g(z_k) z_k^(-n) = sum_(j = n mod L) p_j. For
@@ -238,39 +269,59 @@ def _fft_coefficients(weights, tau, n_cut):
 
     Rounding. Let u = eps / 2 with eps = finfo(longdouble).eps, t = |tau|,
     kappa = 1 / (1 - t) and G = (1 - tau) / (1 - t) = max |g_0| on the
-    circle. Assume the long-double libm calls (exp of i x, arctan2,
-    hypot) and pocketfft's twiddle factors are within one ulp (2u).
-    Everything below is first order in u.
+    circle. Assume the long-double cos and sin behind exp(i theta) and
+    pocketfft's twiddle factors are within one ulp (2u). numpy multiplies
+    complex numbers by the textbook formula, off by at most 2 sqrt(2) u
+    relative (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., Lemma 3.5). It divides x / y by Smith's formula: for
+    |Re y| >= |Im y| (the other case is symmetric), r = Im y / Re y,
+    d = Re y + Im y r, and the quotient is (Re x + Im x r, Im x - Re x r)
+    times fl(1 / d). The two terms of d have one sign, so 1 / d is off by
+    at most 4u relative; each part of the numerator is off by u times
+    itself plus 2u |x| |Im y| / |y|^2, so the quotient is off by at most
+    6u |x/y| + 2u |x| / |y| = 8u |x/y|. Everything below is first order
+    in u.
       - theta_k = k fl(2 pi / L) is off by at most 3 u theta_k <= 3 pi u,
-        so a and b are off by at most t (3 pi + 3) u and
-        (t (3 pi + 4) + 1) u, w by |dw| <= (6 pi + 8) u < 27 u, and
-        |w| = r >= 1 - t. Hence |d psi| <= (27 kappa + pi) u,
-        |dR| / R <= (27 kappa + 4) u and, as |phi| < 2 pi,
-        |d phi| <= 3 pi u + 2 |d psi| + 2 pi u = A u, A = 54 kappa + 7 pi.
-      - A Horner step of gap k uses e^(i fl(k phi)), off from s^k by at
-        most k (A + 2 pi) u + 2 sqrt(2) u, then one complex product
-        (2 sqrt(2) u) and one real addition (u). With |s| = 1 the running
-        sum stays below sum c, and weight c_m passes at most m steps
-        whose gaps add up to at most m, so it collects at most
-        m (A + 2 pi + 7) u; the last step folds psi into the phase and
-        the factor R, adding at most 54 kappa + 19 in units of u.
-        Since A + 2 pi + 7 <= 54 kappa + 36, every sample is off by at
-        most E = G u sum_m |c_m| (M + 1) (54 kappa + 36), M the top index.
-      - The transform: pocketfft runs passes of radix r <= 8 on these
-        lengths. Each pass is a twiddle product followed by r-point
-        DFTs whose outputs are sums of r complex products, so it is off
-        by at most (r + 9) u sum_l |x_l| per output and by
-        sqrt(r) (r + 9) u relative to its output in l2; that is at most
-        17 u per factor 2 of L, so at most 17 u log2(L) over the whole
-        transform (Higham, Accuracy and Stability of Numerical
-        Algorithms, 2nd ed., ch. 24, gives the radix-2 case).
+        so z is off by at most (3 pi + 2) u.
+      - w = 1 - tau z is off by at most (t + |w|) u, and z - tau by
+        u |z - tau|, with |z - tau| = |w| >= 1 - t. As |ds/dz| =
+        (1 - t^2) / |w|^2 <= (1 + t) kappa and the division adds 8u, s is
+        off by at most delta_s = ((1 + t)(3 pi + 2) kappa + t kappa + 10) u
+        <= (24 kappa + 10) u. As |dg_0/dz| = t |g_0| / |w| and fl(1 - tau)
+        adds u, g_0 is off by at most delta_g = (t (3 pi + 3) kappa + 10) u
+        <= (13 kappa + 10) u relative to |g_0|.
+      - A product of computed powers of s is off by the sum of the errors
+        of its factors plus 2 sqrt(2) u. By induction over the products,
+        s^(2^j) is off by at most 2^j delta_s + (2^j - 1) 2 sqrt(2) u, and
+        multiplying acc by s^k, through the squares for the set bits of
+        k, adds at most k (delta_s + 2 sqrt(2) u) to its relative error.
+      - Adding a real weight rounds the real part only (u). A weight c_m
+        is added once and then passes Horner steps whose gaps, each at
+        least 1, add up to m - prev, and the final factors s^prev and g_0.
+        So its term c_m s^m g_0 is off by at most
+        m (delta_s + (2 sqrt(2) + 1) u) + u + delta_g + 2 sqrt(2) u
+        <= (m + 1)(24 kappa + 14) u relative. |s| = 1, so that term has
+        modulus at most |c_m| G, and every sample is off by at most
+        E = G u sum_m |c_m| (M + 1)(24 kappa + 14), M the top index.
+      - The transform: hfft of L // 2 + 1 samples is pocketfft's real
+        backward transform (c2r) of length L. It drops the imaginary parts
+        of the samples at theta = 0 and pi, which are zero in exact
+        arithmetic, so that removes error only. On these lengths it runs
+        backward real passes of radix 4, 2 (at most once), 3 and 5. A pass
+        of radix r computes the Hermitian half of a complex pass, r-point
+        butterflies with real constants and a twiddle product, so each
+        output is off by at most (r + 9) u sum_l |x_l| over its r inputs,
+        and the pass by sqrt(r) (r + 9) u relative to its output in l2 (of
+        the whole Hermitian vector). That is at most 16 u per factor 2 of
+        L (11 sqrt(2) at r = 2), so at most 16 u log2(L) over the whole
+        transform (Higham, ch. 24, gives the radix-2 case).
       - By Parseval the DFT divided by L maps a sample error e to a
         coefficient error of l2 norm |e|_2 / sqrt(L) <= max |e_k| <= E,
-        and the transform's own error is at most 17 u log2(L) times the
+        and the transform's own error is at most 16 u log2(L) times the
         l2 norm of the coefficients, itself at most G sum |c|; the final
         division by L adds u G sum |c|.
     So the computed coefficients are off by at most
-    E2 = G u sum |c| ((M + 1)(54 kappa + 36) + 17 log2 L + 1) in l2, and
+    E2 = G u sum |c| ((M + 1)(24 kappa + 14) + 16 log2 L + 1) in l2, and
     by sqrt(n_cut + 1) E2 summed over the kept indices, which is the
     allowance returned. The factor 1.01 covers the terms of second and
     higher order while their first-order sum is below 1e-3. numpy before
@@ -288,39 +339,26 @@ def _fft_coefficients(weights, tau, n_cut):
     support = np.flatnonzero(weights)
     m_top = prev = int(support[-1])
     length = _smooth_length(max(n_cut, _tail_cutoff(m_top, tau, u)[0]) + 1)
-    half = length // 2 + 1
     tau_l = np.longdouble(tau)
-    theta = np.arange(half, dtype=np.longdouble) * (2 * _PI_L / length)
-    z = np.exp(1j * theta)
-    a = tau_l * z.imag
-    b = 1 - tau_l * z.real
-    psi = np.arctan2(a, b)
-    phi = theta + 2 * psi
+    z = np.exp(1j * (np.arange(length // 2 + 1, dtype=np.longdouble) * (2 * _PI_L / length)))
+    w = 1 - tau_l * z
+    s = np.divide(z - tau_l, w, out=z)
+    g_0 = np.divide(1 - tau_l, w, out=w)
 
-    acc = np.full(half, weights[m_top], dtype=np.clongdouble)
-    unit_step = None
+    acc = np.full(s.size, weights[m_top], dtype=np.clongdouble)
     for m in support[-2::-1]:
-        gap = prev - int(m)
-        if gap == 1:
-            if unit_step is None:
-                unit_step = np.exp(1j * phi)
-            acc *= unit_step
-        else:
-            acc *= np.exp(1j * (gap * phi))
+        _times_power(acc, s, prev - int(m))
         acc += weights[m]
         prev = int(m)
-    acc *= np.exp(1j * (prev * phi + psi)) * ((1 - tau_l) / np.hypot(a, b))
-
-    samples = np.empty(length, dtype=np.clongdouble)
-    samples[:half] = acc
-    samples[half:] = np.conj(acc[1 : length - half + 1][::-1])
-    coeffs = np.fft.fft(samples)[: n_cut + 1].real / length
+    _times_power(acc, s, prev)
+    acc *= g_0
+    coeffs = np.fft.hfft(acc, length)[: n_cut + 1] / length
 
     t = abs(tau)
     kappa = 1.0 / (1.0 - t)
     first_order = (
         (1.0 - tau) / (1.0 - t) * u * float(np.sum(np.abs(weights)))
-        * ((m_top + 1) * (54.0 * kappa + 36.0) + 17.0 * math.log2(length) + 1.0)
+        * ((m_top + 1) * (24.0 * kappa + 14.0) + 16.0 * math.log2(length) + 1.0)
     )
     return coeffs, 1.01 * math.sqrt(n_cut + 1) * first_order
 

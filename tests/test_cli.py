@@ -423,6 +423,17 @@ def test_limit_check_lam_beyond_double_precision_fails(capsys):
     assert captured.err.startswith("limit-check: lam = 1e+200 gives tau")
 
 
+def test_probe_lam_beyond_the_tail_cutoff_limit_fails(capsys):
+    """At lam = 1e7 tau is still below 1, but row 1 needs more than 10^9
+    coefficients: one line naming lam and the limit, exit 1."""
+    assert main(["probe", "--weights", "0,1", "--lambda", "1e7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("probe: |lam| = 1e+07 (tau = ")
+    assert "more than 10^9 coefficients" in captured.err
+
+
 def test_map_files_round_trip(tmp_path):
     gmap = q_exchange_example(2.0)
     p = tmp_path / "map.json"

@@ -10,13 +10,12 @@ from gaussmap import (
     is_symplectic,
     partial_transpose_example,
     q_exchange_example,
-    solve_h,
     standard_form,
     transposition_matrix,
 )
-from gaussmap.classify import _factor_interval, _h_forms
+from gaussmap.classify import _factor_interval, _h_forms, _scale, _solve_h
 from gaussmap.symplectic import DEFAULT_TOL
-from helpers import random_symplectic
+from helpers import count_eigensolves, random_symplectic
 from scipy.linalg import expm
 
 
@@ -140,8 +139,9 @@ def test_no_noise_contraction_returns_none():
 
 @pytest.mark.parametrize("transposed", [False, True])
 def test_no_noise_large_scale_stays_homogeneous(transposed):
-    """K = 150 I (or 150 T) has |c| = 22500, beyond the 1e-4 floor of the
-    interval rule, so only the proportionality rule factors it."""
+    """K = 150 I (or 150 T) has its feasible interval end at c = 1 / 22500
+    (c = -1 / 22500). The floor of the interval rule is relative,
+    |c| max |D_K| = 1 >= 1e-4, so that end counts and gives lam = 150."""
     k = 150.0 * (transposition_matrix(2) if transposed else np.eye(4))
     nf = decompose(GaussianMap(K=k, alpha=np.zeros((4, 4)), y0=np.zeros(4)))
     assert nf.kind == "homogeneous"
@@ -248,15 +248,41 @@ def test_factoring_tie_takes_no_transposition():
     # h(c) = 2 - |1 - c| >= 0 on all of [-1, 1]: both ends give lam = 1.
     # The map is CP, so decompose reads (1, 1); the interval rule is checked as well.
     gmap = GaussianMap(K=np.eye(4), alpha=2.0 * np.eye(4), y0=np.zeros(4))
-    lam, transposed, residual = _factor_interval(
-        gmap, *_h_forms(gmap), solve_h(gmap).interval, DEFAULT_TOL
-    )
+    A, G, sizes = _h_forms(gmap)
+    ends = _solve_h(A, G, _scale(sizes))[2]
+    lam, transposed, residual = _factor_interval(gmap, sizes, ends, DEFAULT_TOL)
     assert lam == 1.0
     assert not transposed
     assert np.array_equal(residual.K, gmap.K)
     nf = decompose(gmap)
     assert (nf.lam, nf.transposed) == (1.0, False)
     assert np.array_equal(nf.S, gmap.K)
+
+
+def test_decompose_makes_the_eigensolves_of_one_classify(monkeypatch):
+    """decompose reads h at the ends of the feasible interval off the
+    values classify computed (the cuts of the solve, c* or the CP exit), so
+    it calls eigh and eigvalsh exactly as often as classify does."""
+    S = random_symplectic(2, np.random.default_rng(23))
+    maps = [
+        (GaussianMap(K=0.5 * S, alpha=2.0 * np.eye(4)), "homogeneous_factoring", 1.0),
+        (GaussianMap(K=3.0 * S, alpha=np.zeros((4, 4))), "homogeneous", 3.0),
+        (GaussianMap(K=2.0 * S, alpha=0.5 * np.eye(4)), "homogeneous_factoring", None),
+    ]
+    count = count_eigensolves(monkeypatch)
+    for gmap, kind, lam in maps:
+        count[0] = 0
+        report = classify(gmap)
+        classify_solves = count[0]
+        count[0] = 0
+        nf = decompose(gmap)
+        assert count[0] == classify_solves, kind
+        assert nf.kind == kind
+        assert report.is_cp is (lam == 1.0)
+        if lam is not None:
+            assert nf.lam == pytest.approx(lam, rel=1e-9)
+        else:
+            assert 1.0 < nf.lam <= 2.0 + 1e-9
 
 
 def _perturbed_noiseless(k, rel, j=0):

@@ -1,4 +1,6 @@
 import math
+import operator
+import re
 import tracemalloc
 
 import numpy as np
@@ -146,6 +148,7 @@ def test_fft_transform_runs_in_long_double():
     """numpy before 2.0 transforms clongdouble in complex128, which would
     void the derived rounding allowance."""
     assert np.fft.fft(np.ones(30, dtype=np.clongdouble)).dtype == np.clongdouble
+    assert np.fft.hfft(np.ones(16, dtype=np.clongdouble), 30).dtype == np.longdouble
     weights = np.array([0.0, 0.0, 1.0])
     coeffs, rounding = _fft_coefficients(weights, 0.6, 40)
     assert coeffs.dtype == np.longdouble
@@ -183,6 +186,119 @@ def test_long_double_fft_within_derived_pass_bound():
             norm2 += abs(exact) ** 2
         rel = float(mpmath.sqrt(err2 / norm2))
     assert rel <= 17.0 * u * math.log2(length)
+
+
+def test_long_double_hfft_within_derived_pass_bound():
+    """The transform bound of `_fft_coefficients` for its Hermitian
+    transform, 16 u log2(L) relative in l2, against an exact DFT of the
+    Hermitian extension of a random half vector, at L = 120, whose real
+    backward passes have radices 4, 2, 3 and 5."""
+    import mpmath
+
+    length = 120
+    half = length // 2 + 1
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+    x[0] = x[0].real
+    x[-1] = x[-1].real
+    y = np.fft.hfft(x.astype(np.clongdouble), length)
+    u = float(np.finfo(np.longdouble).eps) / 2.0
+    with mpmath.workdps(40):
+        w = [mpmath.exp(-2j * mpmath.pi * k / length) for k in range(length)]
+        xs = [mpmath.mpc(float(v.real), float(v.imag)) for v in x]
+        full = xs + [mpmath.conj(xs[length - k]) for k in range(half, length)]
+        err2 = norm2 = mpmath.mpf(0)
+        for n in range(length):
+            exact = mpmath.fsum(full[k] * w[(k * n) % length] for k in range(length))
+            err2 += (_mpf_of(y[n]) - exact.real) ** 2 + exact.imag ** 2
+            norm2 += abs(exact) ** 2
+        rel = float(mpmath.sqrt(err2 / norm2))
+    assert rel <= 16.0 * u * math.log2(length)
+
+
+def _exact_fixed_point(weights, tau, n_cut, bits=700):
+    """sum_m c_m p_n^(m) for n <= n_cut, times 2^(2 bits), as exact integers.
+
+    Each row is the double binomial sum p_n = (1 - tau) sum_j C(m, j)
+    (-tau)^(m - j) C(m + n - j, m) tau^(n - j), a convolution of
+    a_j = C(m, j) (-tau)^(m - j) with b_k = C(m + k, m) tau^k. mpmath
+    forms a_j and b_k at bits + 300 bits from the double tau, and their
+    fixed-point integers a_j 2^bits, b_k 2^bits are convolved exactly.
+    In the tests below a_j stays below 2^261 and b_k below 2^460 (at
+    m = 200, lam = 3, where the summands reach 2^625 before they
+    cancel), so each product is off by less than 2^-238 and each sum
+    of at most 261 of them by less than 2^-229.
+    """
+    import mpmath
+
+    total = [0] * (n_cut + 1)
+    with mpmath.workprec(bits + 300):
+        t = mpmath.mpf(tau)
+        scale = mpmath.mpf(2) ** bits
+        for m in np.flatnonzero(weights):
+            m = int(m)
+            c = mpmath.mpf(float(weights[m])) * (1 - t) * scale
+            a = [int(c * math.comb(m, j) * (-t) ** (m - j)) for j in range(m + 1)]
+            b, term = [], scale
+            for k in range(n_cut + 1):
+                b.append(int(term))
+                term *= t * (m + k + 1) / (k + 1)
+            b.reverse()  # b[n_cut - k] = b_k, so b_(n - j) for j = 0, 1, .. is a slice
+            for n in range(n_cut + 1):
+                top = min(m, n) + 1
+                total[n] += sum(map(operator.mul, a[:top], b[n_cut - n : n_cut - n + top]))
+    return total, 2 * bits
+
+
+def _fft_error_l1(weights, tau, n_cut):
+    """(l1 error of _fft_coefficients over 0..n_cut against the exact sum,
+    rounding allowance, bound on the FFT's aliasing)."""
+    import mpmath
+
+    coeffs, rounding = _fft_coefficients(weights, tau, n_cut)
+    exact, shift = _exact_fixed_point(weights, tau, n_cut)
+    with mpmath.workprec(shift + 200):
+        err = mpmath.fsum(
+            abs(_mpf_of(q) - mpmath.ldexp(e, -shift)) for q, e in zip(coeffs, exact)
+        )
+    # The FFT folds indices j >= L onto the kept ones; L is the length
+    # _fft_coefficients chooses, beyond the point where each tail is below u.
+    u = float(np.finfo(np.longdouble).eps) / 2.0
+    m_top = int(np.flatnonzero(weights)[-1])
+    length = _smooth_length(max(n_cut, _tail_cutoff(m_top, tau, u)[0]) + 1)
+    alias = sum(
+        abs(weights[m]) * math.exp(_log_tail(int(m), tau, length - 1 - int(m)))
+        for m in np.flatnonzero(weights)
+    )
+    return float(err), rounding, alias
+
+
+@pytest.mark.parametrize("lam", [0.5, -2.0, 1.2, 2.0, 3.0])
+def test_fft_rows_within_rounding_allowance_of_exact_sum(lam):
+    """Rows 0, 1, 37 and 200 against the exact double binomial sum: the l1
+    error over the kept indices stays within the rounding allowance that
+    `_fft_coefficients` derives (plus its aliasing, below u)."""
+    tau = _tau_of(lam)
+    for m in (0, 1, 37, 200):
+        weights = np.zeros(m + 1)
+        weights[m] = 1.0
+        err, rounding, alias = _fft_error_l1(weights, tau, _tail_cutoff(m, tau, 1e-12)[0])
+        assert err <= rounding + alias, (m, err, rounding)
+
+
+@pytest.mark.parametrize("lam", [1.2, 2.0])
+def test_fft_mixtures_within_rounding_allowance_of_exact_sum(lam):
+    """A sparse mixture with gaps of 110 and more (binary powers of s) and
+    a dense one (a product by s per index) against the exact sum."""
+    tau = _tau_of(lam)
+    rng = np.random.default_rng(12)
+    sparse = np.zeros(261)
+    sparse[[4, 120, 260]] = rng.dirichlet(np.ones(3))
+    dense = rng.uniform(0.1, 1.0, 31)
+    for weights in (sparse, dense / dense.sum()):
+        m_top = weights.size - 1
+        err, rounding, alias = _fft_error_l1(weights, tau, _tail_cutoff(m_top, tau, 1e-12)[0])
+        assert err <= rounding + alias, (m_top, err, rounding)
 
 
 @pytest.mark.parametrize("lam", [0.5, -2.0, 1.2, 2.0, 3.0])
@@ -494,6 +610,20 @@ def test_rows_reject_lam_whose_tau_rounds_to_the_unit_circle(lam, tau):
             call(5, lam)
     with pytest.raises(ValueError, match="lam"):
         airy_limit_error(1.0, 10, lam)
+
+
+@pytest.mark.parametrize("lam, shown", [(1e7, "1e+07"), (-1e7, "1e+07"), (1e-7, "1e-07")])
+def test_rows_reject_lam_beyond_the_tail_cutoff_limit(lam, shown):
+    """tau is below 1 here, but the cutoff of row 5 passes 10^9 coefficients:
+    a ValueError naming |lam| (recovered from tau) and the limit, not a
+    search that fails to terminate."""
+    limit = re.escape("more than 10^9 coefficients")
+    for call in (dilated_fock_coefficients, dilated_fock_sweep, trace_norm_sum, hs_norm_check):
+        with pytest.raises(ValueError, match=re.escape(f"|lam| = {shown} (tau = ") + ".*" + limit):
+            call(5, lam)
+    if abs(lam) > 1.0:
+        with pytest.raises(ValueError, match=limit):
+            probe_fock_mixture([0.0, 1.0], lam)
 
 
 def test_airy_limit_error_rejects_nan_m():
