@@ -13,8 +13,6 @@ from .symplectic import (
     standard_form,
     is_symplectic,
     symplectic_eigenvalues,
-    williamson,
-    WilliamsonDecomposition,
     is_valid_covariance,
 )
 from .gaussian import (
@@ -42,7 +40,6 @@ from .classify import (
     is_classical_g2g,
     classify,
     decompose,
-    state_quadratic_infimum,
     rescale_domain,
     partial_transpose_example,
     q_exchange_example,

@@ -360,22 +360,6 @@ def _residual(gmap, lam, transposed):
     return GaussianMap(K=(gmap.K @ T_b) / lam, alpha=gmap.alpha.copy(), y0=gmap.y0.copy())
 
 
-def state_quadratic_infimum(w):
-    """Infimum of w* sigma w over all valid covariance matrices: |w* D w|.
-
-    Real directions give zero, and the infimum is approached (not always
-    attained) by strongly squeezed states aligned with w.
-    """
-    w = np.asarray(w, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(w)
-    if nrm == 0:
-        raise ValueError("direction vector must be nonzero")
-    if w.shape[0] % 2 != 0:
-        raise ValueError(f"direction length must be even, got {w.shape[0]}")
-    delta = standard_form(w.shape[0] // 2)
-    return float(abs(np.conj(w) @ delta @ w))
-
-
 def rescale_domain(gmap, mu):
     """Rescale the domain: (K, alpha, y0) -> (mu K, alpha, y0).
 

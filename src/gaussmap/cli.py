@@ -67,6 +67,11 @@ def _parse_floats(text, flag):
         raise ValueError(f"{flag} must be a comma-separated list of numbers, got {text!r}")
 
 
+def _check_tol(tol):
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"--tol must be a finite number >= 0, got {tol!r}")
+
+
 def _witness_payload(witness):
     if witness is None:
         return None
@@ -78,6 +83,7 @@ def _witness_payload(witness):
 
 def cmd_validate(args):
     try:
+        _check_tol(args.tol)
         mean, cov = load_state_arrays(args.state)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"validate: {exc}")
@@ -102,6 +108,7 @@ def cmd_validate(args):
 
 def cmd_classify(args):
     try:
+        _check_tol(args.tol)
         gmap = load_map(args.map)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"classify: {exc}")
@@ -168,6 +175,7 @@ def _normal_form_payload(nf):
 
 def cmd_decompose(args):
     try:
+        _check_tol(args.tol)
         gmap = load_map(args.map)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"decompose: {exc}")
@@ -202,6 +210,7 @@ def cmd_decompose(args):
 
 def cmd_apply(args):
     try:
+        _check_tol(args.tol)
         gmap = load_map(args.map)
         mean, cov = load_state_arrays(args.state)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -271,7 +280,7 @@ def _files(*names):
     def add_arguments(parser):
         for name in names:
             parser.add_argument(name, help=f"{name} JSON file")
-        parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance")
+        parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance, a finite number >= 0")
         parser.add_argument("--report", help="write a JSON report to this path")
     return add_arguments
 

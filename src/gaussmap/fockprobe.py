@@ -71,8 +71,9 @@ def _log_tail(m, tau, k):
     return log_pref + log_binom + (k + 1.0) * math.log(t) - math.log(1.0 - rho)
 
 
-# Largest k that _tail_cutoff searches: 10^9 coefficients, 8 GB of float64 per row.
-_MAX_TAIL_K = 10**9
+# Largest k that _tail_cutoff searches: 10^7 coefficients, about 1 GB per row, as
+# _fft_coefficients peaks at about 96 bytes per coefficient (tracemalloc).
+_MAX_TAIL_K = 10**7
 
 
 def _tail_cutoff(m, tau, eps, k_start=None):
@@ -104,13 +105,13 @@ def _tail_cutoff(m, tau, eps, k_start=None):
     lo = int(t * (m + 2.0) / (1.0 - t)) + 1
     hi, gap = max(k_start or 8, lo + 1), 1
     while not below(hi):
-        lo, hi, gap = hi, hi + gap, 2 * gap
-        if hi > _MAX_TAIL_K:
+        if hi >= _MAX_TAIL_K:
             lam = math.sqrt((1.0 + tau) / (1.0 - tau))
             raise ValueError(
                 f"|lam| = {lam:.3g} (tau = {tau!r}) needs a tail cutoff of more than"
-                f" 10^9 coefficients for Fock index {m}"
+                f" 10^7 coefficients for Fock index {m}"
             )
+        lo, hi, gap = hi, min(hi + gap, _MAX_TAIL_K), 2 * gap
     while hi - gap > lo and below(hi - gap):
         hi, gap = hi - gap, 2 * gap
     lo = max(lo, hi - gap)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symplectic import DEFAULT_TOL, is_valid_covariance
+from .symplectic import DEFAULT_TOL, _check_symmetric, is_valid_covariance
 
 
 @dataclass
@@ -63,10 +63,7 @@ class GaussianMap:
             raise ValueError(
                 f"alpha shape {self.alpha.shape} does not match K shape {self.K.shape}"
             )
-        scale = max(1.0, float(np.max(np.abs(self.alpha))))
-        if np.max(np.abs(self.alpha - self.alpha.T)) > self.tol * scale:
-            raise ValueError("alpha must be symmetric within tolerance")
-        self.alpha = 0.5 * (self.alpha + self.alpha.T)
+        self.alpha = _check_symmetric(self.alpha, self.tol, name="alpha")
         if self.y0 is None:
             self.y0 = np.zeros(d)
         else:

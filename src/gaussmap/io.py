@@ -14,6 +14,7 @@ import json
 import numpy as np
 
 from .gaussian import GaussianMap
+from .symplectic import DEFAULT_TOL, _check_symmetric
 
 FORMAT_VERSION = 1
 
@@ -62,7 +63,7 @@ def load_map(path):
         OSError: unreadable file.
         ValueError: malformed JSON, wrong shapes, a NaN or infinite
             entry, or an alpha that is not symmetric within 1e-9 (schema
-            errors).
+            errors; "path: alpha must be symmetric within tolerance 1e-09").
     """
     doc = _load_doc(path)
     _check_version(doc, path)
@@ -83,9 +84,10 @@ def load_map(path):
 def load_state_arrays(path):
     """Read a state file into raw (mean, cov) arrays.
 
-    Shape, finite entries and symmetry are schema requirements; whether
-    cov is a valid covariance is a separate question left to the caller,
-    so that an unphysical but well-formed state can still be inspected.
+    Shape, finite entries and symmetry within 1e-9 ("path: cov must be
+    symmetric within tolerance 1e-09") are schema requirements; whether cov
+    is a valid covariance is a separate question left to the caller, so
+    that an unphysical but well-formed state can still be inspected.
     """
     doc = _load_doc(path)
     _check_version(doc, path)
@@ -93,9 +95,7 @@ def load_state_arrays(path):
     d = 2 * n
     mean = _as_array(doc, "mean", (d,), path)
     cov = _as_array(doc, "cov", (d, d), path)
-    if np.max(np.abs(cov - cov.T)) > 1e-9 * max(1.0, float(np.max(np.abs(cov)))):
-        raise ValueError(f"{path}: cov is not symmetric")
-    return mean, 0.5 * (cov + cov.T)
+    return mean, _check_symmetric(cov, DEFAULT_TOL, name=f"{path}: cov")
 
 
 def _write_json(path, doc):

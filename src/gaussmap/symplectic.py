@@ -59,6 +59,20 @@ def _check_symmetric(sigma, tol, name="sigma"):
     return 0.5 * (sigma + sigma.T)
 
 
+def _symplectic_spectrum(sigma, tol):
+    """(nu, None) for a sigma positive semidefinite within tol, with nu its
+    ascending symplectic eigenvalues, else (None, w0) with w0 < 0 its least
+    eigenvalue: one symmetry check and one eigh of sigma."""
+    sigma = _check_symmetric(sigma, tol)
+    n = sigma.shape[0] // 2
+    w, v = np.linalg.eigh(sigma)
+    if w[0] < -tol * max(1.0, float(w[-1])):
+        return None, w[0]
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    herm = -1j * (root @ standard_form(n) @ root)
+    return np.linalg.eigvalsh(herm)[n:], None
+
+
 def symplectic_eigenvalues(sigma, tol=DEFAULT_TOL):
     """Symplectic eigenvalues of a symmetric positive semidefinite matrix.
 
@@ -77,99 +91,22 @@ def symplectic_eigenvalues(sigma, tol=DEFAULT_TOL):
         ValueError: if sigma is not symmetric, or has a negative-definite
             direction (strictly negative eigenvalue beyond tolerance).
     """
-    sigma = _check_symmetric(sigma, tol)
-    n = sigma.shape[0] // 2
-    w, v = np.linalg.eigh(sigma)
-    scale = max(1.0, float(w[-1]))
-    if w[0] < -tol * scale:
+    nu, negative = _symplectic_spectrum(sigma, tol)
+    if nu is None:
         raise ValueError(
-            f"matrix has a negative-definite direction (eigenvalue {w[0]:.3e})"
+            f"matrix has a negative-definite direction (eigenvalue {negative:.3e})"
         )
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    delta = standard_form(n)
-    herm = -1j * (root @ delta @ root)
-    ev = np.linalg.eigvalsh(herm)
-    return ev[n:]
-
-
-class WilliamsonDecomposition:
-    """Result of williamson(): S symplectic, nu ascending positive."""
-
-    def __init__(self, S, nu):
-        self.S = S
-        self.nu = nu
-
-    def __iter__(self):
-        return iter((self.S, self.nu))
-
-    def __repr__(self):
-        return f"WilliamsonDecomposition(nu={np.array2string(self.nu, precision=6)})"
-
-
-def williamson(sigma, tol=DEFAULT_TOL):
-    """Williamson decomposition of a strictly positive definite matrix.
-
-    Finds a symplectic S and ascending symplectic eigenvalues nu with
-    S @ sigma @ S.T = diag(nu_1, nu_1, ..., nu_n, nu_n).
-
-    The construction diagonalizes the antisymmetric matrix
-    A = sigma^{-1/2} @ delta @ sigma^{-1/2} with a real Schur
-    factorization, normalizes every 2x2 block to have a positive
-    upper-right entry, sorts blocks, and assembles
-    S = D^{1/2} @ Q.T @ sigma^{-1/2}.
-
-    Raises:
-        ValueError: if sigma is singular or indefinite.
-    """
-    # Imported here: scipy.linalg is most of the package's import time and
-    # nothing else needs it.
-    from scipy.linalg import schur
-
-    sigma = _check_symmetric(sigma, tol)
-    n = sigma.shape[0] // 2
-    w, v = np.linalg.eigh(sigma)
-    if w[0] <= tol * max(1.0, float(w[-1])):
-        raise ValueError(
-            f"matrix must be strictly positive definite (min eigenvalue {w[0]:.3e})"
-        )
-    inv_root = (v / np.sqrt(w)) @ v.T
-    delta = standard_form(n)
-    A = inv_root @ delta @ inv_root
-    A = 0.5 * (A - A.T)
-    T, Q = schur(A, output="real")
-
-    # Each diagonal block of T is [[0, a], [-a, 0]]; flip the block basis
-    # where a < 0 so that nu = 1/a is positive, then order by nu.
-    a_vals = np.empty(n)
-    for i in range(n):
-        a = T[2 * i, 2 * i + 1]
-        if a < 0:
-            Q[:, [2 * i, 2 * i + 1]] = Q[:, [2 * i + 1, 2 * i]]
-            a = -a
-        a_vals[i] = a
-    nu = 1.0 / a_vals
-    order = np.argsort(nu, kind="stable")
-    cols = np.empty(2 * n, dtype=int)
-    cols[0::2] = 2 * order
-    cols[1::2] = 2 * order + 1
-    Q = Q[:, cols]
-    nu = nu[order]
-
-    d_half = np.repeat(np.sqrt(nu), 2)
-    S = (d_half[:, None] * Q.T) @ inv_root
-    return WilliamsonDecomposition(S=S, nu=nu)
+    return nu
 
 
 def is_valid_covariance(sigma, tol=DEFAULT_TOL):
     """Decide whether sigma is a physical covariance matrix.
 
     True iff sigma is positive semidefinite and its smallest symplectic
-    eigenvalue is >= 1 - tol. For one mode this coincides with the
-    determinant test det(sigma) >= 1 on positive semidefinite input.
+    eigenvalue is >= 1 - tol, so False wherever symplectic_eigenvalues
+    raises for a negative-definite direction. For one mode this coincides
+    with the determinant test det(sigma) >= 1 on positive semidefinite
+    input.
     """
-    sigma = _check_symmetric(sigma, tol)
-    w = np.linalg.eigvalsh(sigma)
-    if w[0] < -tol * max(1.0, float(abs(w[-1]))):
-        return False
-    nu = symplectic_eigenvalues(sigma, tol=tol)
-    return bool(nu[0] >= 1.0 - tol)
+    nu, _ = _symplectic_spectrum(sigma, tol)
+    return nu is not None and bool(nu[0] >= 1.0 - tol)

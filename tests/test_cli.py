@@ -1,4 +1,5 @@
 import argparse
+import ast
 import io
 import json
 import os
@@ -175,12 +176,33 @@ def test_decompose_and_classify_solve_h_once(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """scipy is imported only where williamson needs it, so the CLI starts without it."""
+    """The runtime depends on numpy only, so the CLI starts without scipy."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(gaussmap.__file__)))
     code = "import sys, gaussmap.cli; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    """Every import in the package is the standard library, numpy or gaussmap itself."""
+    src = os.path.dirname(os.path.abspath(gaussmap.__file__))
+    allowed = set(sys.stdlib_module_names) | {"numpy", "gaussmap"}
+    foreign = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in allowed]
+    assert foreign == []
 
 
 def test_classify_bad_budget_flag(fixtures):
@@ -414,6 +436,35 @@ def test_nonfinite_arguments_fail_with_one_line(capsys, argv, name):
     assert captured.err.startswith(f"{argv[0]}: {name} must be finite")
 
 
+_FILE_ARGS = {
+    "validate": ["state.json"],
+    "classify": ["map.json"],
+    "decompose": ["map.json"],
+    "apply": ["map.json", "state.json"],
+}
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("command", ["validate", "classify", "decompose", "apply"])
+def test_tol_that_is_not_finite_and_nonnegative_fails_with_one_line(tmp_path, capsys, command, tol):
+    """The files do not exist: --tol is rejected before any of them is read."""
+    files = [str(tmp_path / name) for name in _FILE_ARGS[command]]
+    assert main([command, *files, f"--tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"{command}: --tol must be a finite number >= 0, got ")
+
+
+def test_zero_tol_is_allowed(fixtures, capsys):
+    """--tol 0 reaches the decision (classify may then say not G2G on rounding)."""
+    assert main(["validate", fixtures["vacuum.json"], "--tol", "0"]) == 0
+    assert main(["classify", fixtures["dil2.json"], "--tol", "0"]) in (0, 2)
+    assert main(["decompose", fixtures["dil2.json"], "--tol", "0"]) in (0, 2)
+    assert main(["apply", fixtures["dil2.json"], fixtures["vacuum.json"], "--tol", "0"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_limit_check_lam_beyond_double_precision_fails(capsys):
     """lam = 1e200 overflows lam * lam, so tau is NaN: one line naming lam, exit 1."""
     assert main(["limit-check", "--lambda", "1e200", "--k", "1", "--m-list", "10"]) == 1
@@ -424,14 +475,14 @@ def test_limit_check_lam_beyond_double_precision_fails(capsys):
 
 
 def test_probe_lam_beyond_the_tail_cutoff_limit_fails(capsys):
-    """At lam = 1e7 tau is still below 1, but row 1 needs more than 10^9
+    """At lam = 1e7 tau is still below 1, but row 1 needs more than 10^7
     coefficients: one line naming lam and the limit, exit 1."""
     assert main(["probe", "--weights", "0,1", "--lambda", "1e7"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("probe: |lam| = 1e+07 (tau = ")
-    assert "more than 10^9 coefficients" in captured.err
+    assert "more than 10^7 coefficients" in captured.err
 
 
 def test_map_files_round_trip(tmp_path):

@@ -614,16 +614,28 @@ def test_rows_reject_lam_whose_tau_rounds_to_the_unit_circle(lam, tau):
 
 @pytest.mark.parametrize("lam, shown", [(1e7, "1e+07"), (-1e7, "1e+07"), (1e-7, "1e-07")])
 def test_rows_reject_lam_beyond_the_tail_cutoff_limit(lam, shown):
-    """tau is below 1 here, but the cutoff of row 5 passes 10^9 coefficients:
+    """tau is below 1 here, but the cutoff of row 5 passes 10^7 coefficients:
     a ValueError naming |lam| (recovered from tau) and the limit, not a
     search that fails to terminate."""
-    limit = re.escape("more than 10^9 coefficients")
+    limit = re.escape("more than 10^7 coefficients")
     for call in (dilated_fock_coefficients, dilated_fock_sweep, trace_norm_sum, hs_norm_check):
         with pytest.raises(ValueError, match=re.escape(f"|lam| = {shown} (tau = ") + ".*" + limit):
             call(5, lam)
     if abs(lam) > 1.0:
         with pytest.raises(ValueError, match=limit):
             probe_fock_mixture([0.0, 1.0], lam)
+
+
+def test_tail_cutoff_limit_bounds_row_memory():
+    """A row peaks at about 96 bytes per coefficient, so the 10^7 limit keeps
+    it near 1 GB: lam = 1000 (N = 5.8e7 at m = 5) is refused by the cutoff
+    search itself, before any row is allocated. lam = 300 (N = 4.6e6) and
+    lam = 420 (N = 9.4e6, where the gallop's next step would pass 10^7)
+    stay below the limit and are accepted."""
+    with pytest.raises(ValueError, match=re.escape("more than 10^7 coefficients")):
+        _tail_cutoff(5, _tau_of(1000.0), 1e-12)
+    for lam, n in ((300.0, 4639954), (420.0, 9405779)):
+        assert _tail_cutoff(5, _tau_of(lam), 1e-12)[0] == n
 
 
 def test_airy_limit_error_rejects_nan_m():

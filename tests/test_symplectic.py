@@ -6,7 +6,6 @@ from gaussmap import (
     is_valid_covariance,
     standard_form,
     symplectic_eigenvalues,
-    williamson,
 )
 from helpers import random_spd, random_symplectic, random_valid_cov
 
@@ -105,48 +104,6 @@ def test_symplectic_spectrum_invariant_under_symplectic_congruence():
                 assert np.allclose(moved, ref, atol=1e-9, rtol=1e-9)
 
 
-def test_williamson_identity():
-    w = williamson(np.eye(4))
-    assert np.allclose(w.nu, [1.0, 1.0])
-
-
-def test_williamson_thermal_one_mode():
-    w = williamson(np.diag([4.0, 4.0]))
-    assert np.allclose(w.nu, [4.0])
-
-
-def test_williamson_scaled_identity_two_modes():
-    w = williamson(2.0 * np.eye(4))
-    assert np.allclose(w.nu, [2.0, 2.0])
-
-
-def test_williamson_rejects_singular():
-    with pytest.raises(ValueError):
-        williamson(np.diag([1.0, 0.0]))
-
-
-def test_williamson_rejects_indefinite():
-    with pytest.raises(ValueError):
-        williamson(np.diag([1.0, -1.0]))
-
-
-def test_williamson_reduction_invariants():
-    """S sigma S^T must equal the diagonal normal form and S must be
-    symplectic, across conditioning up to about 1e6."""
-    rng = np.random.default_rng(5)
-    for n in (1, 2, 3):
-        for _ in range(15):
-            sigma = random_spd(2 * n, rng, log_cond=1.5)
-            w = williamson(sigma)
-            assert is_symplectic(w.S, tol=1e-8)
-            reduced = w.S @ sigma @ w.S.T
-            target = np.diag(np.repeat(w.nu, 2))
-            scale = max(1.0, np.abs(target).max())
-            assert np.max(np.abs(reduced - target)) <= 1e-8 * scale
-            assert np.all(np.diff(w.nu) >= -1e-12)
-            assert np.allclose(w.nu, symplectic_eigenvalues(sigma), rtol=1e-9, atol=1e-9)
-
-
 def test_symplectic_eigenvalue_one_mode_closed_form():
     # For a single mode the invariant is just sqrt(det sigma).
     rng = np.random.default_rng(77)
@@ -193,3 +150,96 @@ def test_is_valid_covariance_random_states_match_determinant():
         got = is_valid_covariance(sigma)
         if abs(np.linalg.det(sigma) - 1.0) > 1e-9:
             assert got == expected
+
+
+# A frozen copy of the validity code as it stood before symplectic_eigenvalues
+# and is_valid_covariance shared one symmetry check and one eigh: the oracle
+# for test_validity_matches_the_two_pass_code.
+def _two_pass_check_symmetric(sigma, tol, name="sigma"):
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {sigma.shape}")
+    if sigma.shape[0] % 2 != 0:
+        raise ValueError(f"{name} dimension must be even, got {sigma.shape[0]}")
+    scale = max(1.0, float(np.max(np.abs(sigma))))
+    if np.max(np.abs(sigma - sigma.T)) > tol * scale:
+        raise ValueError(f"{name} must be symmetric within tolerance {tol}")
+    return 0.5 * (sigma + sigma.T)
+
+
+def _two_pass_symplectic_eigenvalues(sigma, tol=1e-9):
+    sigma = _two_pass_check_symmetric(sigma, tol)
+    n = sigma.shape[0] // 2
+    w, v = np.linalg.eigh(sigma)
+    scale = max(1.0, float(w[-1]))
+    if w[0] < -tol * scale:
+        raise ValueError(
+            f"matrix has a negative-definite direction (eigenvalue {w[0]:.3e})"
+        )
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    delta = standard_form(n)
+    herm = -1j * (root @ delta @ root)
+    ev = np.linalg.eigvalsh(herm)
+    return ev[n:]
+
+
+def _two_pass_is_valid_covariance(sigma, tol=1e-9):
+    sigma = _two_pass_check_symmetric(sigma, tol)
+    w = np.linalg.eigvalsh(sigma)
+    if w[0] < -tol * max(1.0, float(abs(w[-1]))):
+        return False
+    nu = _two_pass_symplectic_eigenvalues(sigma, tol=tol)
+    return bool(nu[0] >= 1.0 - tol)
+
+
+def _outcome(call, sigma):
+    """What call(sigma) gives: ("value", bytes) or ("raises", message)."""
+    try:
+        value = call(sigma)
+    except ValueError as exc:
+        return "raises", str(exc)
+    return "value", np.asarray(value).tobytes()
+
+
+def _validity_corpus(rng, per_kind=70):
+    """Seeded matrices at n = 1, 2, 3: valid, sub-vacuum, degenerate and
+    indefinite ones, states with smallest symplectic eigenvalue 1 +/- 1e-10
+    and (1 - 1e-9)(1 +/- 1e-10) (the edge at the default tol), and
+    asymmetric ones just inside and just outside the symmetry tolerance."""
+    for n in (1, 2, 3):
+        d = 2 * n
+        for _ in range(per_kind):
+            s = random_symplectic(n, rng, scale=0.4)
+            yield random_valid_cov(n, rng)
+            yield s @ np.diag(np.repeat(rng.uniform(0.05, 1.0, n), 2)) @ s.T
+            nus = rng.uniform(0.0, 3.0, n)
+            nus[rng.integers(n)] = 0.0
+            yield s @ np.diag(np.repeat(nus, 2)) @ s.T
+            spd = random_spd(d, rng, log_cond=1.0)
+            w = np.linalg.eigvalsh(spd)
+            yield spd - rng.uniform(w[0], w[-1]) * np.eye(d)
+            for edge in (1.0, 1.0 - 1e-9):
+                for sign in (1.0, -1.0):
+                    nus = 1.0 + 3.0 * rng.random(n)
+                    nus[rng.integers(n)] = edge * (1.0 + sign * 1e-10)
+                    yield s @ np.diag(np.repeat(nus, 2)) @ s.T
+            sigma = random_valid_cov(n, rng)
+            for size in (1e-10, 1e-8):
+                bump = np.zeros((d, d))
+                bump[0, -1] = size * max(1.0, np.abs(sigma).max())
+                yield sigma + bump
+
+
+def test_validity_matches_the_two_pass_code():
+    """symplectic_eigenvalues and is_valid_covariance give, bit for bit,
+    what the two-pass code gave, and raise exactly where and as it raised."""
+    rng = np.random.default_rng(2024)
+    count = 0
+    for sigma in _validity_corpus(rng):
+        for call, oracle in (
+            (symplectic_eigenvalues, _two_pass_symplectic_eigenvalues),
+            (is_valid_covariance, _two_pass_is_valid_covariance),
+        ):
+            assert _outcome(call, sigma) == _outcome(oracle, sigma)
+        count += 1
+    assert count >= 2000
