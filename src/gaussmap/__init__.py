@@ -13,6 +13,7 @@ from .symplectic import (
     standard_form,
     is_symplectic,
     symplectic_eigenvalues,
+    covariance_spectrum,
     is_valid_covariance,
 )
 from .gaussian import (

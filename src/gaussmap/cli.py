@@ -30,7 +30,7 @@ from .classify import classify, decompose
 from .fockprobe import airy_limit_error, probe_fock_mixture
 from .gaussian import apply_map_moments, transposition_matrix
 from .io import interleave_complex, load_map, load_state_arrays, write_report
-from .symplectic import DEFAULT_TOL, is_valid_covariance, symplectic_eigenvalues
+from .symplectic import DEFAULT_TOL, covariance_spectrum, is_valid_covariance
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -94,12 +94,11 @@ def cmd_validate(args):
         "tol": args.tol,
     }
     try:
-        nu = symplectic_eigenvalues(cov, tol=args.tol)
+        nu, valid = covariance_spectrum(cov, tol=args.tol)
     except ValueError as exc:
         payload.update(valid=False, symplectic_eigenvalues=None, note=str(exc))
         print(f"invalid: {exc}")
         return _finish(args, payload, EXIT_INVALID)
-    valid = is_valid_covariance(cov, tol=args.tol)
     payload.update(valid=bool(valid), symplectic_eigenvalues=nu.tolist())
     print("symplectic eigenvalues:", " ".join(_fmt(v) for v in nu))
     print("valid" if valid else "invalid: smallest symplectic eigenvalue below 1")

@@ -17,7 +17,9 @@ unit circle by one long-double FFT of the Hermitian half of the circle
 (`_fft_coefficients`), in O(N log N) time and O(N) memory for N
 coefficients. Each sample is g_0 times a polynomial in the unimodular
 s = (z - tau) / (1 - tau z), formed by divisions and binary powering
-with no transcendental function beyond the grid point z. A sweep needs
+with no transcendental function. The grid points z take long-double cos
+and sin on one eighth of the circle only; the rest of the half circle
+is their exact reflections (`_half_circle`). A sweep needs
 every row up to m_max; it runs a long-double recursion along
 anti-diagonals (`_sweep_rows`) in O(m_max N) time and writes the rows
 in place, in float64, through one O(m_max^2) block. Either way the
@@ -71,9 +73,10 @@ def _log_tail(m, tau, k):
     return log_pref + log_binom + (k + 1.0) * math.log(t) - math.log(1.0 - rho)
 
 
-# Largest k that _tail_cutoff searches: 10^7 coefficients, about 1 GB per row, as
-# _fft_coefficients peaks at about 96 bytes per coefficient (tracemalloc).
-_MAX_TAIL_K = 10**7
+# Largest row length N = m + k that _tail_cutoff accepts: 10^7 coefficients, about
+# 1 GB per row, as _fft_coefficients peaks at about 96 bytes per coefficient
+# (tracemalloc).
+_MAX_TAIL_N = 10**7
 
 
 def _tail_cutoff(m, tau, eps, k_start=None):
@@ -90,28 +93,32 @@ def _tail_cutoff(m, tau, eps, k_start=None):
         achieved at the returned N.
 
     Raises:
-        ValueError: when k would pass _MAX_TAIL_K, naming |lam| =
-        sqrt((1 + tau) / (1 - tau)) (lam and -lam share tau).
+        ValueError: when N would pass _MAX_TAIL_N, naming |lam| =
+        sqrt((1 + tau) / (1 - tau)) (lam and -lam share tau). No k with
+        m + k beyond that limit is evaluated, so a Fock index m near or
+        above it is refused before a row is allocated.
     """
     t = abs(tau)
     if t == 0.0:
         return m, 0.0
     target = math.log(eps)
+    k_max = _MAX_TAIL_N - m
 
     def below(k):
         return _log_tail(m, tau, k) < target
 
-    # lo is k_lo or fails `below`; hi passes it.
+    # lo is k_lo or fails `below`; hi passes it. A start beyond k_max is
+    # clamped to k_max, so hi <= lo means k_max <= lo and no k is left.
     lo = int(t * (m + 2.0) / (1.0 - t)) + 1
-    hi, gap = max(k_start or 8, lo + 1), 1
-    while not below(hi):
-        if hi >= _MAX_TAIL_K:
+    hi, gap = min(max(k_start or 8, lo + 1), k_max), 1
+    while hi <= lo or not below(hi):
+        if hi >= k_max:
             lam = math.sqrt((1.0 + tau) / (1.0 - tau))
             raise ValueError(
                 f"|lam| = {lam:.3g} (tau = {tau!r}) needs a tail cutoff of more than"
                 f" 10^7 coefficients for Fock index {m}"
             )
-        lo, hi, gap = hi, min(hi + gap, _MAX_TAIL_K), 2 * gap
+        lo, hi, gap = hi, min(hi + gap, k_max), 2 * gap
     while hi - gap > lo and below(hi - gap):
         hi, gap = hi - gap, 2 * gap
     lo = max(lo, hi - gap)
@@ -218,6 +225,43 @@ def _smooth_length(n):
     return best
 
 
+def _fft_length(n_cut, m_top, tau):
+    """FFT length of `_fft_coefficients`: the least multiple of 8 that is
+    2-3-5-smooth and above both n_cut and the index N_u where the analytic
+    tail of g_(m_top) falls below u (the long-double unit roundoff).
+
+    A multiple of 8 lets `_half_circle` build its grid from one octant.
+    The search for N_u starts at k = n_cut - m_top, the k of the caller's
+    own cutoff when n_cut is one; every start gives the same N_u.
+    """
+    u = float(np.finfo(np.longdouble).eps) / 2.0
+    n = max(n_cut, _tail_cutoff(m_top, tau, u, n_cut - m_top)[0]) + 1
+    return 8 * _smooth_length(-(-n // 8))
+
+
+def _half_circle(length):
+    """z_k = e^(i theta_k), theta_k = 2 pi k / length, for k <= length / 2;
+    length a multiple of 8.
+
+    cos and sin run in long double on the first octant, k <= length / 8,
+    where theta_k <= pi / 4 needs no argument reduction. The rest of the
+    half circle is their exact reflections: z_(L/4 - k) = i conj(z_k)
+    swaps the real and imaginary parts, and z_(L/2 - k) = -conj(z_k)
+    negates the real part.
+    """
+    e, q, h = length // 8, length // 4, length // 2
+    theta = np.arange(e + 1, dtype=np.longdouble) * (2 * _PI_L / length)
+    z = np.empty(h + 1, dtype=np.clongdouble)
+    re, im = z.real, z.imag
+    np.cos(theta, out=re[: e + 1])
+    np.sin(theta, out=im[: e + 1])
+    re[e : q + 1] = im[e::-1]
+    im[e : q + 1] = re[e::-1]
+    np.negative(re[q::-1], out=re[q:])
+    im[q:] = im[q::-1]
+    return z
+
+
 def _times_power(acc, s, k):
     """acc *= s**k in place by binary powering, in at most 2 log2(k) products.
 
@@ -245,17 +289,22 @@ def _fft_coefficients(weights, tau, n_cut):
     polynomial sum_m c_m s^m, evaluated by Horner's rule over the nonzero
     weights: a gap of k indices multiplies by s^k, formed by binary
     powering (`_times_power`), and the last step by s^prev g_0, prev the
-    lowest index. Apart from the grid point z itself, each sample costs
-    two divisions and products only, no transcendental function. A single
-    row is the one-term case, about 2 log2(m) products per sample; a
-    dense mixture up to M costs O(M L) and no table. The samples are
-    taken at theta_k = 2 pi k / L, k <= L/2, and np.fft.hfft transforms
-    them as the Hermitian signal they are: g(conj z) = conj g(z), since
-    tau is real. L is the smallest 2-3-5-smooth length above both n_cut
-    and the index where the analytic tail of g_M (M the top index) falls
-    below u, defined below: that costs a few dozen extra samples and
-    keeps the aliasing under the rounding, so the coefficients agree with
-    the rows of `_sweep_rows` to rounding.
+    lowest index. Each sample costs two divisions and products only, no
+    transcendental function. A single row is the one-term case, about
+    2 log2(m) products per sample; a dense mixture up to M costs O(M L)
+    and no table. The samples are taken at theta_k = 2 pi k / L,
+    k <= L/2, and np.fft.hfft transforms them as the Hermitian signal
+    they are: g(conj z) = conj g(z), since tau is real. The grid points
+    z_k come from one long-double cos and sin per eight samples: they
+    are evaluated on the first octant, k <= L/8, and the rest of the half
+    circle is their exact reflections (`_half_circle`). L
+    (`_fft_length`) is the least multiple of 8 that is 2-3-5-smooth and
+    above both n_cut and the index where the analytic tail of g_M (M the
+    top index) falls below u, defined below. Going past the caller's
+    n_cut to that index keeps the aliasing under the rounding, so the
+    coefficients agree with the rows of `_sweep_rows` to rounding; from
+    a bound of 400 up, rounding up to L adds at most 13% and on average
+    about 1%.
 
     Aliasing. g_m is analytic for |z| < 1/|tau|, so its sampled DFT is
     exactly (1/L) sum_k g(z_k) z_k^(-n) = sum_(j = n mod L) p_j. For
@@ -270,8 +319,8 @@ def _fft_coefficients(weights, tau, n_cut):
 
     Rounding. Let u = eps / 2 with eps = finfo(longdouble).eps, t = |tau|,
     kappa = 1 / (1 - t) and G = (1 - tau) / (1 - t) = max |g_0| on the
-    circle. Assume the long-double cos and sin behind exp(i theta) and
-    pocketfft's twiddle factors are within one ulp (2u). numpy multiplies
+    circle. Assume the long-double cos and sin of the grid and pocketfft's
+    twiddle factors are within one ulp (2u). numpy multiplies
     complex numbers by the textbook formula, off by at most 2 sqrt(2) u
     relative (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
     ed., Lemma 3.5). It divides x / y by Smith's formula: for
@@ -282,8 +331,13 @@ def _fft_coefficients(weights, tau, n_cut):
     itself plus 2u |x| |Im y| / |y|^2, so the quotient is off by at most
     6u |x/y| + 2u |x| / |y| = 8u |x/y|. Everything below is first order
     in u.
-      - theta_k = k fl(2 pi / L) is off by at most 3 u theta_k <= 3 pi u,
-        so z is off by at most (3 pi + 2) u.
+      - On the octant k <= L/8, theta_k = k fl(2 pi / L) is off by at most
+        3 u theta_k <= (3 pi / 4) u, so cos and sin put z_k within
+        (3 pi / 4 + 2) u of e^(i theta_k). The reflections
+        z_(L/4 - k) = i conj(z_k) and z_(L/2 - k) = -conj(z_k) swap and
+        negate parts, exactly, so every sample of the half circle is off
+        by at most (3 pi / 4 + 2) u. The bullets below use the larger
+        (3 pi + 2) u, which majorizes it.
       - w = 1 - tau z is off by at most (t + |w|) u, and z - tau by
         u |z - tau|, with |z - tau| = |w| >= 1 - t. As |ds/dz| =
         (1 - t^2) / |w|^2 <= (1 + t) kappa and the division adds 8u, s is
@@ -339,9 +393,9 @@ def _fft_coefficients(weights, tau, n_cut):
     u = float(np.finfo(np.longdouble).eps) / 2.0
     support = np.flatnonzero(weights)
     m_top = prev = int(support[-1])
-    length = _smooth_length(max(n_cut, _tail_cutoff(m_top, tau, u)[0]) + 1)
+    length = _fft_length(n_cut, m_top, tau)
     tau_l = np.longdouble(tau)
-    z = np.exp(1j * (np.arange(length // 2 + 1, dtype=np.longdouble) * (2 * _PI_L / length)))
+    z = _half_circle(length)
     w = 1 - tau_l * z
     s = np.divide(z - tau_l, w, out=z)
     g_0 = np.divide(1 - tau_l, w, out=w)

@@ -128,8 +128,12 @@ def apply_map_moments(gmap, mean, cov):
 
     Unlike `apply_map` it takes the arrays themselves, so moments that
     are not a physical state (a subvacuum cov, say) go through as well.
+    The covariance is returned as 0.5 (C + C.T): rounding leaves the
+    product C = K sigma K.T + alpha off symmetric in the last bits, and a
+    symmetry check at tol = 0 would reject it.
     """
-    return gmap.K @ mean + gmap.y0, gmap.K @ cov @ gmap.K.T + gmap.alpha
+    cov_out = gmap.K @ cov @ gmap.K.T + gmap.alpha
+    return gmap.K @ mean + gmap.y0, 0.5 * (cov_out + cov_out.T)
 
 
 def apply_map_char(gmap, chi_in, k):

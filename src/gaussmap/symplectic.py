@@ -60,17 +60,21 @@ def _check_symmetric(sigma, tol, name="sigma"):
 
 
 def _symplectic_spectrum(sigma, tol):
-    """(nu, None) for a sigma positive semidefinite within tol, with nu its
-    ascending symplectic eigenvalues, else (None, w0) with w0 < 0 its least
-    eigenvalue: one symmetry check and one eigh of sigma."""
+    """(nu, valid, w0) of sigma from one symmetry check and one eigh.
+
+    w0 is the least eigenvalue of sigma. If sigma is positive
+    semidefinite within tol, nu holds its ascending symplectic eigenvalues
+    and valid is nu[0] >= 1 - tol; otherwise nu is None and valid False.
+    """
     sigma = _check_symmetric(sigma, tol)
     n = sigma.shape[0] // 2
     w, v = np.linalg.eigh(sigma)
     if w[0] < -tol * max(1.0, float(w[-1])):
-        return None, w[0]
+        return None, False, w[0]
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
     herm = -1j * (root @ standard_form(n) @ root)
-    return np.linalg.eigvalsh(herm)[n:], None
+    nu = np.linalg.eigvalsh(herm)[n:]
+    return nu, bool(nu[0] >= 1.0 - tol), w[0]
 
 
 def symplectic_eigenvalues(sigma, tol=DEFAULT_TOL):
@@ -91,12 +95,26 @@ def symplectic_eigenvalues(sigma, tol=DEFAULT_TOL):
         ValueError: if sigma is not symmetric, or has a negative-definite
             direction (strictly negative eigenvalue beyond tolerance).
     """
-    nu, negative = _symplectic_spectrum(sigma, tol)
+    return covariance_spectrum(sigma, tol)[0]
+
+
+def covariance_spectrum(sigma, tol=DEFAULT_TOL):
+    """Symplectic eigenvalues of sigma and the verdict of is_valid_covariance,
+    from one eigendecomposition of sigma and one of the Hermitian matrix.
+
+    Returns:
+        (nu, valid): nu as from symplectic_eigenvalues, and valid =
+        is_valid_covariance(sigma, tol), which is nu[0] >= 1 - tol.
+
+    Raises:
+        ValueError: as symplectic_eigenvalues does.
+    """
+    nu, valid, least = _symplectic_spectrum(sigma, tol)
     if nu is None:
         raise ValueError(
-            f"matrix has a negative-definite direction (eigenvalue {negative:.3e})"
+            f"matrix has a negative-definite direction (eigenvalue {least:.3e})"
         )
-    return nu
+    return nu, valid
 
 
 def is_valid_covariance(sigma, tol=DEFAULT_TOL):
@@ -108,5 +126,4 @@ def is_valid_covariance(sigma, tol=DEFAULT_TOL):
     with the determinant test det(sigma) >= 1 on positive semidefinite
     input.
     """
-    nu, _ = _symplectic_spectrum(sigma, tol)
-    return nu is not None and bool(nu[0] >= 1.0 - tol)
+    return _symplectic_spectrum(sigma, tol)[1]

@@ -364,6 +364,44 @@ def test_apply_report_matches_apply_map_bit_for_bit(tmp_path):
     assert doc["output_cov"] == cov_out.tolist()
 
 
+def test_apply_zero_tol_on_rounded_asymmetric_product(tmp_path, capsys):
+    """K sigma K^T + alpha comes out of float64 off symmetric in the last
+    bits here; apply --tol 0 still decides validity and prints its normal
+    output, with nothing on stderr."""
+    save_map(tmp_path / "map.json",
+             GaussianMap(K=[[0.1, 0.1], [0.1, 0.3]], alpha=np.eye(2), y0=np.zeros(2)))
+    save_state(tmp_path / "state.json", np.zeros(2), np.array([[1.3, 0.1], [0.1, 0.9]]))
+    report = tmp_path / "apply.json"
+    args = ["apply", str(tmp_path / "map.json"), str(tmp_path / "state.json"), "--tol", "0"]
+    assert main(args + ["--report", str(report)]) in (0, 2)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] in ("valid", "invalid output covariance")
+    cov = np.array(json.loads(report.read_text())["output_cov"])
+    assert np.array_equal(cov, cov.T)
+
+
+def test_validate_decides_from_one_spectrum(tmp_path, monkeypatch, capsys):
+    """validate reads the verdict off the spectrum it prints: one eigh of
+    cov and one eigvalsh of the Hermitian matrix, and an indefinite cov
+    stops after the first."""
+    cases = {
+        "valid": (np.diag([2.0, 0.6, 1.0, 1.0]), 0, "valid"),
+        "lowdet": (np.array([[0.7, 0.1], [0.1, 0.9]]), 2,
+                   "invalid: smallest symplectic eigenvalue below 1"),
+        "indefinite": (np.diag([1.0, -1.0]), 2,
+                       "invalid: matrix has a negative-definite direction (eigenvalue -1.000e+00)"),
+    }
+    for name, (cov, code, last) in cases.items():
+        path = tmp_path / f"{name}.json"
+        save_state(path, np.zeros(cov.shape[0]), cov)
+        count = count_eigensolves(monkeypatch)
+        got = main(["validate", str(path)])
+        monkeypatch.undo()
+        assert (got, capsys.readouterr().out.splitlines()[-1]) == (code, last), name
+        assert count[0] == (1 if name == "indefinite" else 2), name
+
+
 def test_probe_pure_fock_state(capsys):
     assert main(["probe", "--weights", "0,0,0,1", "--lambda", "2"]) == 0
     out = capsys.readouterr().out

@@ -15,7 +15,11 @@ from gaussmap import (
     trace_norm_sum,
 )
 from gaussmap.fockprobe import (
+    _MAX_TAIL_N,
+    _PI_L,
     _fft_coefficients,
+    _fft_length,
+    _half_circle,
     _log_tail,
     _representation_allowance,
     _smooth_length,
@@ -144,6 +148,64 @@ def test_smooth_length_is_least_235_smooth_bound():
         assert not any(smooth(k) for k in range(n, length))
 
 
+@pytest.mark.parametrize("length", [8, 16, 24, 40, 1000, 4000, 16000])
+def test_half_circle_within_octant_bound(length):
+    """The grid from cos and sin on one octant and its exact reflections is
+    within (3 pi / 4 + 2) u of the long-double exp(i theta_k), and of the
+    exact e^(2 pi i k / L), at every k <= L/2."""
+    import mpmath
+
+    u = float(np.finfo(np.longdouble).eps) / 2.0
+    bound = (3.0 * math.pi / 4.0 + 2.0) * u
+    z = _half_circle(length)
+    assert z.dtype == np.clongdouble and z.size == length // 2 + 1
+    theta = np.arange(length // 2 + 1, dtype=np.longdouble) * (2 * _PI_L / length)
+    assert float(np.max(np.abs(z - np.exp(1j * theta)))) <= bound
+    with mpmath.workprec(128):
+        worst = max(
+            abs(mpmath.mpc(_mpf_of(v.real), _mpf_of(v.imag)) - mpmath.expjpi(mpmath.mpf(2 * k) / length))
+            for k, v in enumerate(z)
+        )
+    assert float(worst) <= bound
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-25])
+def test_fft_length_is_least_smooth_multiple_of_8(eps):
+    """L is a 2-3-5-smooth multiple of 8 above both n_cut and the cutoff
+    N_u at u, and the least such. n_cut comes from a user eps above u
+    (1e-12) and below it (1e-25): the search for N_u, started at that
+    cutoff's k, finds what a cold search finds, so L is the same."""
+    u = float(np.finfo(np.longdouble).eps) / 2.0
+    for lam in (0.5, 1.2, 2.0, 3.0, 10.0):
+        tau = _tau_of(lam)
+        for m in (0, 1, 37, 500, 2000):
+            n_cut = _tail_cutoff(m, tau, eps)[0]
+            assert _tail_cutoff(m, tau, u, n_cut - m) == _tail_cutoff(m, tau, u)
+            bound = max(n_cut, _tail_cutoff(m, tau, u)[0])
+            length = _fft_length(n_cut, m, tau)
+            assert length % 8 == 0 and _smooth_length(length) == length and length > bound
+            first = bound + 1 + (-(bound + 1)) % 8
+            assert not any(_smooth_length(k) == k for k in range(first, length, 8))
+
+
+def test_fft_coefficients_calls_no_exp(monkeypatch):
+    """The grid needs no complex exp: with np.exp raising, rows and probes
+    come out as before."""
+    weights = np.zeros(41)
+    weights[[3, 40]] = 0.5
+    expected = _fft_coefficients(weights, 0.6, 300)
+    row = dilated_fock_coefficients(200, 2.0)
+
+    def no_exp(*args, **kwargs):
+        raise AssertionError("np.exp called")
+
+    monkeypatch.setattr(np, "exp", no_exp)
+    coeffs, rounding = _fft_coefficients(weights, 0.6, 300)
+    assert np.array_equal(coeffs, expected[0]) and rounding == expected[1]
+    assert np.array_equal(dilated_fock_coefficients(200, 2.0).coeffs, row.coeffs)
+    assert probe_fock_mixture(weights, 2.0).verdict == CERTIFIED
+
+
 def test_fft_transform_runs_in_long_double():
     """numpy before 2.0 transforms clongdouble in complex128, which would
     void the derived rounding allowance."""
@@ -263,9 +325,7 @@ def _fft_error_l1(weights, tau, n_cut):
         )
     # The FFT folds indices j >= L onto the kept ones; L is the length
     # _fft_coefficients chooses, beyond the point where each tail is below u.
-    u = float(np.finfo(np.longdouble).eps) / 2.0
-    m_top = int(np.flatnonzero(weights)[-1])
-    length = _smooth_length(max(n_cut, _tail_cutoff(m_top, tau, u)[0]) + 1)
+    length = _fft_length(n_cut, int(np.flatnonzero(weights)[-1]), tau)
     alias = sum(
         abs(weights[m]) * math.exp(_log_tail(int(m), tau, length - 1 - int(m)))
         for m in np.flatnonzero(weights)
@@ -636,6 +696,32 @@ def test_tail_cutoff_limit_bounds_row_memory():
         _tail_cutoff(5, _tau_of(1000.0), 1e-12)
     for lam, n in ((300.0, 4639954), (420.0, 9405779)):
         assert _tail_cutoff(5, _tau_of(lam), 1e-12)[0] == n
+
+
+def test_tail_cutoff_limit_bounds_row_length(monkeypatch):
+    """The 10^7 limit is on the row length N = m + k, not on k: a Fock
+    index near or above it is refused by the cutoff search, which never
+    evaluates a k with m + k beyond the limit, before any row exists."""
+    tau = _tau_of(1.0001)
+    seen = []
+
+    def logged(m, tau, k):
+        seen.append(m + k)
+        return _log_tail(m, tau, k)
+
+    monkeypatch.setattr("gaussmap.fockprobe._log_tail", logged)
+    limit = re.escape("more than 10^7 coefficients")
+    for m in (3 * 10**7, _MAX_TAIL_N, _MAX_TAIL_N - 1000):
+        with pytest.raises(ValueError, match=limit):
+            _tail_cutoff(m, tau, 1e-12)
+        with pytest.raises(ValueError, match=limit):
+            _tail_cutoff(m, tau, 1e-12, 2 * _MAX_TAIL_N)
+    # k = 3602 fits below the limit at this m, from a cold and a clamped start.
+    for start in (None, 2 * _MAX_TAIL_N):
+        assert _tail_cutoff(_MAX_TAIL_N - 20000, tau, 1e-12, start)[0] == 9983602
+    assert max(seen) <= _MAX_TAIL_N
+    with pytest.raises(ValueError, match=limit):
+        dilated_fock_coefficients(3 * 10**7, 1.0001)
 
 
 def test_airy_limit_error_rejects_nan_m():
