@@ -60,11 +60,12 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _parse_floats(text, flag):
+def _parse_list(text, flag, kind=float):
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        return [kind(v) for v in text.split(",") if v != ""]
     except ValueError:
-        raise ValueError(f"{flag} must be a comma-separated list of numbers, got {text!r}")
+        what = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag} must be a comma-separated list of {what}, got {text!r}")
 
 
 def _check_tol(tol):
@@ -240,7 +241,7 @@ def cmd_apply(args):
 
 def cmd_probe(args):
     try:
-        weights = _parse_floats(args.weights, "--weights")
+        weights = _parse_list(args.weights, "--weights")
         result = probe_fock_mixture(weights, args.lam, eps=args.epsilon)
     except ValueError as exc:
         return _fail(f"probe: {exc}")
@@ -261,7 +262,7 @@ def cmd_probe(args):
 
 def cmd_limit_check(args):
     try:
-        m_list = [int(v) for v in args.m_list.split(",") if v != ""]
+        m_list = _parse_list(args.m_list, "--m-list", int)
         if not m_list:
             raise ValueError("--m-list must contain at least one index")
         errors = [airy_limit_error(args.k, m, args.lam) for m in m_list]

@@ -12,19 +12,19 @@ the sequences grow, probes finite Fock mixtures for negativity (the
 convex-hull certificate), and evaluates the oscillatory large-m limit
 of g_m along its natural scaling.
 
-A single row and a mixture sum_m c_m g_m are read off samples on the
-unit circle by one long-double FFT of the Hermitian half of the circle
-(`_fft_coefficients`), in O(N log N) time and O(N) memory for N
-coefficients. Each sample is g_0 times a polynomial in the unimodular
-s = (z - tau) / (1 - tau z), formed by divisions and binary powering
-with no transcendental function. The grid points z take long-double cos
-and sin on one eighth of the circle only; the rest of the half circle
-is their exact reflections (`_half_circle`). A sweep needs
-every row up to m_max; it runs a long-double recursion along
-anti-diagonals (`_sweep_rows`) in O(m_max N) time and writes the rows
-in place, in float64, through one O(m_max^2) block. Either way the
-returned tail bound covers the analytic tail beyond the cutoff, the
-aliasing of the FFT and the rounding of both paths.
+A single row, a mixture sum_m c_m g_m and every row of a sweep are read
+off samples on the unit circle by a long-double FFT of the Hermitian
+half of the circle (`_fft_coefficients`, `_sweep_block`), in
+O(N log N) time and O(N) memory for N coefficients. Each sample is g_0
+times a polynomial in the unimodular s = (z - tau) / (1 - tau z),
+formed by divisions and binary powering with no transcendental function
+(`_grid_samples`). The grid points z take long-double cos and sin on
+one eighth of the circle only; the rest of the half circle is their
+exact reflections (`_half_circle`). A sweep transforms its rows in
+blocks of `_SWEEP_BLOCK` that share one grid, where row j's samples are
+row j - 1's times s. The returned tail bound covers the analytic tail
+beyond the cutoff, the aliasing of the FFT and its rounding
+(`_rounding_allowance`).
 """
 
 import math
@@ -143,68 +143,6 @@ def _sweep_cutoffs(ms, tau, eps):
     return cuts
 
 
-def _sweep_rows(m_max, tau, cuts):
-    """Rows p^(j), j <= m_max, each cut at its own cutoff from cuts.
-
-    Multiplying by one factor (z - tau) / (1 - tau z) maps row j - 1 to
-    row j through
-
-        p_j[n] = p_{j-1}[n-1] + tau (p_j[n-1] - p_{j-1}[n]),
-
-    a numerically benign two-term update (the factor has modulus one on
-    the unit circle, so no stage amplifies). Along an anti-diagonal
-    j + n = d it reads only the two previous diagonals, so three rolling
-    long-double buffers carry it, in O(m_max N) work for N the largest
-    cutoff N_j. Only the kept cells, j = start(d) .. min(d, m_max) with
-    start(d) the least j with j + N_j >= d, are rounded to float64: the
-    cells left out include values below float64's range, which round
-    about a hundred times slower than normal ones.
-
-    The kept cells of B = 4 (m_max + 1) consecutive diagonals go into a
-    (B, m_max + 1) float64 block whose column j holds cells n = d - j of
-    row j; after each block, every row it touched takes its contiguous
-    run from that column. So the working memory is the rows plus the
-    block, O(m_max^2), and no (diagonals, m_max + 1) buffer is built.
-    Each block costs one slice copy per row it touches: at m_max = 300,
-    lam = 2 this height makes 504 copies for 301 rows, where a block of
-    m_max + 1 diagonals would make 1526.
-    """
-    n_max = max(n for n, _ in cuts)
-    tau_l = np.array(tau, dtype=np.longdouble)  # 0-d: cheaper per call than a scalar
-    top = (1 - tau_l) * tau_l ** np.arange(n_max + 1)       # p_0[n]
-    left = (1 - tau_l) * (-tau_l) ** np.arange(m_max + 1)   # p_j[0]
-    ends = [j + n for j, (n, _) in enumerate(cuts)]         # last diagonal of row j
-    reach = np.maximum.accumulate(ends)
-    diagonals = int(reach[-1]) + 1
-    start = np.searchsorted(reach, np.arange(diagonals)).tolist()
-    rows = [np.empty(n + 1) for n, _ in cuts]
-    height = 4 * (m_max + 1)
-    block = np.empty((height, m_max + 1))
-    w2, w1, w = (np.zeros(m_max + 1, dtype=np.longdouble) for _ in range(3))
-    for d0 in range(0, diagonals, height):
-        d1 = min(d0 + height, diagonals)
-        for d in range(d0, d1):
-            a, b = max(1, d - n_max), min(m_max, d - 1)
-            if a <= b:
-                cur = w[a : b + 1]
-                np.subtract(w1[a : b + 1], w1[a - 1 : b], cur)
-                cur *= tau_l
-                cur += w2[a - 1 : b]
-            if d <= n_max:
-                w[0] = top[d]
-            if d <= m_max:
-                w[d] = left[d]
-            e = min(d, m_max) + 1
-            block[d - d0, start[d] : e] = w[start[d] : e]
-            w2, w1, w = w1, w, w2
-        # Rows below start[d0] end before d0; row j starts at diagonal j.
-        for j in range(start[d0], m_max + 1):
-            lo, hi = max(d0, j), min(d1 - 1, ends[j])
-            if lo <= hi:
-                rows[j][lo - j : hi - j + 1] = block[lo - d0 : hi - d0 + 1, j]
-    return rows
-
-
 # pi to long-double precision.
 _PI_L = np.longdouble("3.14159265358979323846264338327950288")
 
@@ -278,6 +216,32 @@ def _times_power(acc, s, k):
         base = base * base if base is s else np.multiply(base, base, out=base)
 
 
+def _grid_samples(length, tau):
+    """(s, g_0) of `_fft_coefficients` at the conjugate grid points
+    conj(z_k), k <= length / 2, whose irfft gives the coefficients."""
+    tau_l = np.longdouble(tau)
+    z = _half_circle(length)
+    np.negative(z.imag, out=z.imag)
+    w = 1 - tau_l * z
+    s = np.divide(z - tau_l, w, out=z)
+    g_0 = np.divide(1 - tau_l, w, out=w)
+    return s, g_0
+
+
+def _rounding_allowance(tau, weight_l1, m_top, length, n_cut):
+    """l1 rounding allowance over coefficients 0..n_cut of an FFT of length
+    `length` whose weights have l1 norm weight_l1 and top index m_top,
+    derived in `_fft_coefficients`."""
+    u = float(np.finfo(np.longdouble).eps) / 2.0
+    t = abs(tau)
+    kappa = 1.0 / (1.0 - t)
+    first_order = (
+        (1.0 - tau) / (1.0 - t) * u * weight_l1
+        * ((m_top + 1) * (24.0 * kappa + 14.0) + 16.0 * math.log2(length) + 2.0)
+    )
+    return 1.01 * math.sqrt(n_cut + 1) * first_order
+
+
 def _fft_coefficients(weights, tau, n_cut):
     """Coefficients 0..n_cut of sum_m weights[m] g_m by one long-double FFT.
 
@@ -292,19 +256,20 @@ def _fft_coefficients(weights, tau, n_cut):
     lowest index. Each sample costs two divisions and products only, no
     transcendental function. A single row is the one-term case, about
     2 log2(m) products per sample; a dense mixture up to M costs O(M L)
-    and no table. The samples are taken at theta_k = 2 pi k / L,
-    k <= L/2, and np.fft.hfft transforms them as the Hermitian signal
-    they are: g(conj z) = conj g(z), since tau is real. The grid points
-    z_k come from one long-double cos and sin per eight samples: they
-    are evaluated on the first octant, k <= L/8, and the rest of the half
-    circle is their exact reflections (`_half_circle`). L
+    and no table. The samples are taken at conj(z_k), z_k = e^(i theta_k),
+    theta_k = 2 pi k / L, k <= L/2 (`_grid_samples`), and np.fft.irfft
+    transforms them as the Hermitian signal they are: g(conj z) =
+    conj g(z), since tau is real, so irfft of the conjugate samples is the
+    DFT of the samples at z_k divided by L. The grid points come from one
+    long-double cos and sin per eight samples: they are evaluated on the
+    first octant, k <= L/8, and the rest of the half circle is their exact
+    reflections (`_half_circle`); conjugation is exact. L
     (`_fft_length`) is the least multiple of 8 that is 2-3-5-smooth and
     above both n_cut and the index where the analytic tail of g_M (M the
     top index) falls below u, defined below. Going past the caller's
     n_cut to that index keeps the aliasing under the rounding, so the
-    coefficients agree with the rows of `_sweep_rows` to rounding; from
-    a bound of 400 up, rounding up to L adds at most 13% and on average
-    about 1%.
+    coefficients agree with the exact series to rounding; from a bound
+    of 400 up, rounding up to L adds at most 13% and on average about 1%.
 
     Aliasing. g_m is analytic for |z| < 1/|tau|, so its sampled DFT is
     exactly (1/L) sum_k g(z_k) z_k^(-n) = sum_(j = n mod L) p_j. For
@@ -358,11 +323,12 @@ def _fft_coefficients(weights, tau, n_cut):
         <= (m + 1)(24 kappa + 14) u relative. |s| = 1, so that term has
         modulus at most |c_m| G, and every sample is off by at most
         E = G u sum_m |c_m| (M + 1)(24 kappa + 14), M the top index.
-      - The transform: hfft of L // 2 + 1 samples is pocketfft's real
-        backward transform (c2r) of length L. It drops the imaginary parts
-        of the samples at theta = 0 and pi, which are zero in exact
-        arithmetic, so that removes error only. On these lengths it runs
-        backward real passes of radix 4, 2 (at most once), 3 and 5. A pass
+      - The transform: irfft of L // 2 + 1 samples is pocketfft's real
+        backward transform (c2r) of length L, scaled by fl(1 / L). It
+        drops the imaginary parts of the samples at theta = 0 and pi,
+        which are zero in exact arithmetic, so that removes error only. On
+        these lengths it runs backward real passes of radix 4, 2 (at most
+        once), 3 and 5. A pass
         of radix r computes the Hermitian half of a complex pass, r-point
         butterflies with real constants and a twiddle product, so each
         output is off by at most (r + 9) u sum_l |x_l| over its r inputs,
@@ -373,14 +339,15 @@ def _fft_coefficients(weights, tau, n_cut):
       - By Parseval the DFT divided by L maps a sample error e to a
         coefficient error of l2 norm |e|_2 / sqrt(L) <= max |e_k| <= E,
         and the transform's own error is at most 16 u log2(L) times the
-        l2 norm of the coefficients, itself at most G sum |c|; the final
-        division by L adds u G sum |c|.
+        l2 norm of the coefficients, itself at most G sum |c|; the scale
+        fl(1 / L), rounded once, and the product by it add 2u G sum |c|.
     So the computed coefficients are off by at most
-    E2 = G u sum |c| ((M + 1)(24 kappa + 14) + 16 log2 L + 1) in l2, and
+    E2 = G u sum |c| ((M + 1)(24 kappa + 14) + 16 log2 L + 2) in l2, and
     by sqrt(n_cut + 1) E2 summed over the kept indices, which is the
-    allowance returned. The factor 1.01 covers the terms of second and
-    higher order while their first-order sum is below 1e-3. numpy before
-    2.0 computed clongdouble input in complex128 and would void it.
+    allowance returned (`_rounding_allowance`). The factor 1.01 covers
+    the terms of second and higher order while their first-order sum is
+    below 1e-3. numpy before 2.0 computed clongdouble input in complex128
+    and would void it.
 
     Args:
         weights: float64 weights c_0 .. c_M, not all zero.
@@ -390,15 +357,10 @@ def _fft_coefficients(weights, tau, n_cut):
     Returns:
         (coefficients 0..n_cut in long double, l1 rounding allowance).
     """
-    u = float(np.finfo(np.longdouble).eps) / 2.0
     support = np.flatnonzero(weights)
     m_top = prev = int(support[-1])
     length = _fft_length(n_cut, m_top, tau)
-    tau_l = np.longdouble(tau)
-    z = _half_circle(length)
-    w = 1 - tau_l * z
-    s = np.divide(z - tau_l, w, out=z)
-    g_0 = np.divide(1 - tau_l, w, out=w)
+    s, g_0 = _grid_samples(length, tau)
 
     acc = np.full(s.size, weights[m_top], dtype=np.clongdouble)
     for m in support[-2::-1]:
@@ -407,15 +369,40 @@ def _fft_coefficients(weights, tau, n_cut):
         prev = int(m)
     _times_power(acc, s, prev)
     acc *= g_0
-    coeffs = np.fft.hfft(acc, length)[: n_cut + 1] / length
+    coeffs = np.fft.irfft(acc, length)[: n_cut + 1]
+    weight_l1 = float(np.sum(np.abs(weights)))
+    return coeffs, _rounding_allowance(tau, weight_l1, m_top, length, n_cut)
 
-    t = abs(tau)
-    kappa = 1.0 / (1.0 - t)
-    first_order = (
-        (1.0 - tau) / (1.0 - t) * u * float(np.sum(np.abs(weights)))
-        * ((m_top + 1) * (24.0 * kappa + 14.0) + 16.0 * math.log2(length) + 1.0)
-    )
-    return coeffs, 1.01 * math.sqrt(n_cut + 1) * first_order
+
+# Rows of a sweep that share one grid and one transform.
+_SWEEP_BLOCK = 16
+
+
+def _sweep_block(tau, cuts, j0):
+    """Rows j0 .. j0 + _SWEEP_BLOCK - 1 of a sweep (fewer at the end of
+    cuts), each of length L in long double, and the l1 rounding allowance
+    of each over 0..N_j, with cuts[j] = (N_j, tail).
+
+    The rows share one grid, of the `_fft_length` L of the block's largest
+    N_j and top row, so L > N_j for each, and one irfft along the rows.
+    As g_j = g_0 s^j, the first row's samples are g_0 s^j0 by binary
+    powering and each later row's are the row before times s. Row j's
+    samples thus pass the factor g_0 and products by powers of s whose
+    exponents add up to j, and no weight is added: the allowance that
+    `_fft_coefficients` derives for the weights e_j holds for it.
+    """
+    j1 = min(j0 + _SWEEP_BLOCK, len(cuts))
+    n_top = max(n for n, _ in cuts[j0:j1])
+    length = _fft_length(n_top, j1 - 1, tau)
+    s, g_0 = _grid_samples(length, tau)
+    acc = np.empty((j1 - j0, s.size), dtype=np.clongdouble)
+    acc[0] = g_0
+    _times_power(acc[0], s, j0)
+    for i in range(1, j1 - j0):
+        np.multiply(acc[i - 1], s, out=acc[i])
+    coeffs = np.fft.irfft(acc, length, axis=1)
+    rounding = [_rounding_allowance(tau, 1.0, j, length, cuts[j][0]) for j in range(j0, j1)]
+    return coeffs, rounding
 
 
 @dataclass
@@ -429,7 +416,7 @@ class FockCoefficients:
         coeffs: p_0 .. p_N as float64.
         truncation_N: last retained index N.
         tail_bound: certified upper bound on sum_{n > N} |p_n|, plus the
-            long-double rounding allowance of the FFT (single rows; see
+            long-double rounding allowance of the FFT (see
             `_fft_coefficients`) and the float64 representation allowance
             of the stored row. The analytic part also majorizes the FFT's
             aliasing, so each coefficient is within tail_bound of the
@@ -532,31 +519,32 @@ def dilated_fock_coefficients(m, lam, eps=DEFAULT_EPS):
 
 
 def dilated_fock_sweep(m_max, lam, eps=DEFAULT_EPS):
-    """FockCoefficients for every m <= m_max from a single series pass.
+    """FockCoefficients for every m <= m_max.
 
-    Row m only feeds on row m - 1, so one pass of `_sweep_rows` to the
-    largest cutoff N serves all m at once; each row is cut at its own
-    certified cutoff. The pass costs O(m_max N) long-double work; its
-    memory is the float64 rows plus a block of 4 (m_max + 1) x (m_max + 1)
-    float64 cells, and its rows are bit for bit those of the full
-    (m_max + 1) x (N + 1) long-double table of the same recursion. A
-    sweep uses every row, so it runs the recursion rather than one FFT
-    per row. The recursion has no aliasing, so tail_bound is the
-    analytic tail plus the float64 allowance.
+    Each row is cut at its own certified cutoff; one pass over m finds
+    them all (`_sweep_cutoffs`). The rows are single rows of the FFT,
+    computed in blocks of `_SWEEP_BLOCK` that share one grid and one
+    transform (`_sweep_block`), so a sweep costs O(N log N) long-double
+    work per row, N the largest cutoff of its block, and its memory is
+    the float64 rows plus one block. As for a single row, tail_bound is
+    the analytic tail plus the FFT's rounding allowance plus the float64
+    allowance.
     """
     _validate(m_max, eps)
     tau = _tau_of(lam)
     if tau == 0.0:
-        cuts = [(m, 0.0) for m in range(m_max + 1)]
-        rows = [np.eye(1, m + 1, m)[0] for m in range(m_max + 1)]
-    else:
-        cuts = _sweep_cutoffs(range(m_max + 1), tau, eps)
-        rows = _sweep_rows(m_max, tau, cuts)
-    return [
-        FockCoefficients(m, float(lam), float(tau), coeffs, int(n_cut),
-                         float(tail + _representation_allowance(coeffs)) if tau else 0.0)
-        for m, (coeffs, (n_cut, tail)) in enumerate(zip(rows, cuts))
-    ]
+        return [FockCoefficients(m, float(lam), 0.0, np.eye(1, m + 1, m)[0], m, 0.0)
+                for m in range(m_max + 1)]
+    cuts = _sweep_cutoffs(range(m_max + 1), tau, eps)
+    rows = []
+    for j0 in range(0, m_max + 1, _SWEEP_BLOCK):
+        block, rounding = _sweep_block(tau, cuts, j0)
+        for m, row, allowance in zip(range(j0, m_max + 1), block, rounding):
+            n_cut, tail = cuts[m]
+            coeffs = row[: n_cut + 1].astype(float)
+            bound = tail + allowance + _representation_allowance(coeffs)
+            rows.append(FockCoefficients(m, float(lam), float(tau), coeffs, n_cut, float(bound)))
+    return rows
 
 
 def trace_norm_sum(m, lam, eps=DEFAULT_EPS):
@@ -645,6 +633,20 @@ def airy_limit_error(k, m, lam):
     as m grows. Returns the absolute deviation at finite m, evaluated
     from the closed form of g_m in log space so large m stays stable;
     k = 0 returns exactly 0 since the generating function is 1 there.
+
+    The leading error. On the circle g_m = g_0 s^m (see
+    `_fft_coefficients`), so log g_m(e^(-iq)) = m log s + log g_0. As
+    |s| = 1 and s(conj z) = conj s(z), m log s(e^(-iq)) is i m times an
+    odd real series, -i m (lam^2 q - c_3 q^3 + O(q^5)), and a_m makes
+    m c_3 a_m^3 = 1/3; the q^5 term is O(m a_m^5) = O(m^(-2/3)). The
+    other factor is log g_0(e^(-iq)) = -i ((lam^2 - 1) / 2) q + O(q^2):
+    the (m + 1) exponent of 1 - tau z gives g_m one factor g_0 beyond
+    s^m, and tau / (1 - tau) = (lam^2 - 1) / 2. The phase correction
+    removes only lam^2 m q, so
+    g_m(q) e^(i lam^2 m q) = e^(i k^3 / 3) e^(-i phi) (1 + O(m^(-2/3)))
+    with the uncompensated phase phi = ((lam^2 - 1) / 2) a_m k, and the
+    returned error is |e^(i phi) - 1| + O(m^(-2/3)). phi falls only like
+    m^(-1/3): at lam = 2, k = 2, m = 10^4 it gives 0.056 of the 0.0649.
 
     Args:
         k: real scaling variable.

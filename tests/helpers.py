@@ -81,10 +81,13 @@ def coefficient_rows(m_max, tau, n_max):
 
         p_j[n] = p_{j-1}[n-1] + tau (p_j[n-1] - p_{j-1}[n]),
 
-    evaluated along anti-diagonals j + n = d, which depend only on the
-    two previous diagonals. `dilated_fock_sweep` runs the same recursion
-    in the same order on three rolling diagonals, so its rows must equal
-    this table's rows rounded to float64 exactly.
+    that multiplying g_(j-1) by (z - tau) / (1 - tau z) gives, evaluated
+    along anti-diagonals j + n = d, which depend only on the two previous
+    diagonals. It shares no code with the FFT of `gaussmap.fockprobe`,
+    so it is an independent oracle for single rows, mixtures and sweeps:
+    each must agree with it within its tail bound. The recursion's own
+    long-double rounding is far below those bounds (the factor has
+    modulus one on the unit circle, so no stage amplifies).
     """
     tau_l = np.longdouble(tau)
     one = np.longdouble(1.0)

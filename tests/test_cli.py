@@ -447,8 +447,14 @@ def test_limit_check_csv(tmp_path):
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_limit_check_bad_m_list():
-    assert main(["limit-check", "--lambda", "2", "--k", "1", "--m-list", "10,x"]) == 1
+def test_limit_check_bad_m_list(capsys):
+    """A list that int() cannot parse names --m-list and the text given."""
+    for text in ("10,x", "10,abc", "1e3"):
+        assert main(["limit-check", "--lambda", "2", "--k", "1", "--m-list", text]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"limit-check: --m-list must be a comma-separated list of integers, got {text!r}\n"
+        )
 
 
 @pytest.mark.parametrize(

@@ -17,12 +17,15 @@ from gaussmap import (
 from gaussmap.fockprobe import (
     _MAX_TAIL_N,
     _PI_L,
+    _SWEEP_BLOCK,
     _fft_coefficients,
     _fft_length,
     _half_circle,
     _log_tail,
     _representation_allowance,
+    _rounding_allowance,
     _smooth_length,
+    _sweep_block,
     _sweep_cutoffs,
     _tail_cutoff,
     _tau_of,
@@ -210,7 +213,8 @@ def test_fft_transform_runs_in_long_double():
     """numpy before 2.0 transforms clongdouble in complex128, which would
     void the derived rounding allowance."""
     assert np.fft.fft(np.ones(30, dtype=np.clongdouble)).dtype == np.clongdouble
-    assert np.fft.hfft(np.ones(16, dtype=np.clongdouble), 30).dtype == np.longdouble
+    assert np.fft.irfft(np.ones(16, dtype=np.clongdouble), 30).dtype == np.longdouble
+    assert np.fft.irfft(np.ones((2, 16), dtype=np.clongdouble), 30, axis=1).dtype == np.longdouble
     weights = np.array([0.0, 0.0, 1.0])
     coeffs, rounding = _fft_coefficients(weights, 0.6, 40)
     assert coeffs.dtype == np.longdouble
@@ -252,9 +256,10 @@ def test_long_double_fft_within_derived_pass_bound():
 
 def test_long_double_hfft_within_derived_pass_bound():
     """The transform bound of `_fft_coefficients` for its Hermitian
-    transform, 16 u log2(L) relative in l2, against an exact DFT of the
-    Hermitian extension of a random half vector, at L = 120, whose real
-    backward passes have radices 4, 2, 3 and 5."""
+    transform, np.fft.irfft: 16 u log2(L) relative in l2, plus 2u for the
+    scale fl(1 / L) and the product by it, against an exact inverse DFT
+    of the Hermitian extension of a random half vector, at L = 120, whose
+    real backward passes have radices 4, 2, 3 and 5."""
     import mpmath
 
     length = 120
@@ -263,19 +268,19 @@ def test_long_double_hfft_within_derived_pass_bound():
     x = rng.standard_normal(half) + 1j * rng.standard_normal(half)
     x[0] = x[0].real
     x[-1] = x[-1].real
-    y = np.fft.hfft(x.astype(np.clongdouble), length)
+    y = np.fft.irfft(x.astype(np.clongdouble), length)
     u = float(np.finfo(np.longdouble).eps) / 2.0
     with mpmath.workdps(40):
-        w = [mpmath.exp(-2j * mpmath.pi * k / length) for k in range(length)]
+        w = [mpmath.exp(2j * mpmath.pi * k / length) for k in range(length)]
         xs = [mpmath.mpc(float(v.real), float(v.imag)) for v in x]
         full = xs + [mpmath.conj(xs[length - k]) for k in range(half, length)]
         err2 = norm2 = mpmath.mpf(0)
         for n in range(length):
-            exact = mpmath.fsum(full[k] * w[(k * n) % length] for k in range(length))
+            exact = mpmath.fsum(full[k] * w[(k * n) % length] for k in range(length)) / length
             err2 += (_mpf_of(y[n]) - exact.real) ** 2 + exact.imag ** 2
             norm2 += abs(exact) ** 2
         rel = float(mpmath.sqrt(err2 / norm2))
-    assert rel <= 16.0 * u * math.log2(length)
+    assert rel <= (16.0 * math.log2(length) + 2.0) * u
 
 
 def _exact_fixed_point(weights, tau, n_cut, bits=700):
@@ -312,38 +317,52 @@ def _exact_fixed_point(weights, tau, n_cut, bits=700):
     return total, 2 * bits
 
 
-def _fft_error_l1(weights, tau, n_cut):
-    """(l1 error of _fft_coefficients over 0..n_cut against the exact sum,
-    rounding allowance, bound on the FFT's aliasing)."""
+def _l1_error(coeffs, exact):
+    """l1 distance of long-double coefficients from an `_exact_fixed_point` sum."""
     import mpmath
 
-    coeffs, rounding = _fft_coefficients(weights, tau, n_cut)
-    exact, shift = _exact_fixed_point(weights, tau, n_cut)
+    total, shift = exact
     with mpmath.workprec(shift + 200):
-        err = mpmath.fsum(
-            abs(_mpf_of(q) - mpmath.ldexp(e, -shift)) for q, e in zip(coeffs, exact)
-        )
-    # The FFT folds indices j >= L onto the kept ones; L is the length
-    # _fft_coefficients chooses, beyond the point where each tail is below u.
-    length = _fft_length(n_cut, int(np.flatnonzero(weights)[-1]), tau)
-    alias = sum(
+        return float(mpmath.fsum(
+            abs(_mpf_of(q) - mpmath.ldexp(e, -shift)) for q, e in zip(coeffs, total)
+        ))
+
+
+def _alias(weights, tau, length):
+    """Bound on the aliasing of an FFT of length L, which folds indices
+    j >= L onto the kept ones; L lies beyond the point where each tail is
+    below u."""
+    return sum(
         abs(weights[m]) * math.exp(_log_tail(int(m), tau, length - 1 - int(m)))
         for m in np.flatnonzero(weights)
     )
-    return float(err), rounding, alias
 
 
 @pytest.mark.parametrize("lam", [0.5, -2.0, 1.2, 2.0, 3.0])
 def test_fft_rows_within_rounding_allowance_of_exact_sum(lam):
-    """Rows 0, 1, 37 and 200 against the exact double binomial sum: the l1
-    error over the kept indices stays within the rounding allowance that
-    `_fft_coefficients` derives (plus its aliasing, below u)."""
+    """Rows 0, 1, 37 and 200, alone and in `dilated_fock_sweep(200, lam)`,
+    against the exact double binomial sum: the l1 error over the kept
+    indices stays within the rounding allowance that `_fft_coefficients`
+    derives (plus its aliasing, below u). A sweep row is checked in long
+    double, as its block computes it, and the sweep returns its float64
+    rounding."""
     tau = _tau_of(lam)
+    cuts = _sweep_cutoffs(range(201), tau, 1e-12)
+    sweep = dilated_fock_sweep(200, lam)
     for m in (0, 1, 37, 200):
         weights = np.zeros(m + 1)
         weights[m] = 1.0
-        err, rounding, alias = _fft_error_l1(weights, tau, _tail_cutoff(m, tau, 1e-12)[0])
-        assert err <= rounding + alias, (m, err, rounding)
+        n_cut = cuts[m][0]
+        exact = _exact_fixed_point(weights, tau, n_cut)
+        coeffs, rounding = _fft_coefficients(weights, tau, n_cut)
+        err = _l1_error(coeffs, exact)
+        assert err <= rounding + _alias(weights, tau, _fft_length(n_cut, m, tau)), (m, err)
+        i = m % _SWEEP_BLOCK
+        block, block_rounding = _sweep_block(tau, cuts, m - i)
+        row = block[i, : n_cut + 1]
+        assert np.array_equal(sweep[m].coeffs, row.astype(float))
+        err = _l1_error(row, exact)
+        assert err <= block_rounding[i] + _alias(weights, tau, block.shape[1]), (m, err)
 
 
 @pytest.mark.parametrize("lam", [1.2, 2.0])
@@ -357,8 +376,10 @@ def test_fft_mixtures_within_rounding_allowance_of_exact_sum(lam):
     dense = rng.uniform(0.1, 1.0, 31)
     for weights in (sparse, dense / dense.sum()):
         m_top = weights.size - 1
-        err, rounding, alias = _fft_error_l1(weights, tau, _tail_cutoff(m_top, tau, 1e-12)[0])
-        assert err <= rounding + alias, (m_top, err, rounding)
+        n_cut = _tail_cutoff(m_top, tau, 1e-12)[0]
+        coeffs, rounding = _fft_coefficients(weights, tau, n_cut)
+        err = _l1_error(coeffs, _exact_fixed_point(weights, tau, n_cut))
+        assert err <= rounding + _alias(weights, tau, _fft_length(n_cut, m_top, tau)), (m_top, err)
 
 
 @pytest.mark.parametrize("lam", [0.5, -2.0, 1.2, 2.0, 3.0])
@@ -468,20 +489,27 @@ SWEEP_TABLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("lam, m_max", SWEEP_TABLE_CASES)
-def test_sweep_rows_equal_coefficient_table(lam, m_max):
-    """The rolling-diagonal sweep returns the reference table's rows, cutoffs
-    and bounds bit for bit."""
-    tau = _tau_of(lam)
-    cuts = [_tail_cutoff(m, tau, 1e-12) for m in range(m_max + 1)]
-    table = coefficient_rows(m_max, tau, max(n for n, _ in cuts))
-    rows = dilated_fock_sweep(m_max, lam)
-    assert len(rows) == m_max + 1
+def _sweep_within_table(rows, tau, cuts):
+    """Each sweep row has its own cutoff and is within its tail_bound, in
+    l1, of the reference table's row, and its tail_bound holds more than
+    the analytic tail and the float64 allowance: the FFT's rounding."""
+    table = coefficient_rows(len(cuts) - 1, tau, max(n for n, _ in cuts))
+    assert len(rows) == len(cuts)
     for m, (fc, (n_cut, tail)) in enumerate(zip(rows, cuts)):
         oracle = np.asarray(table[m, : n_cut + 1], dtype=float)
-        assert fc.m == m and fc.truncation_N == n_cut
-        assert fc.coeffs.shape == oracle.shape and np.all(fc.coeffs == oracle)
-        assert fc.tail_bound == tail + _representation_allowance(oracle)
+        assert fc.m == m and fc.truncation_N == n_cut and fc.coeffs.shape == oracle.shape
+        assert np.sum(np.abs(fc.coeffs - oracle)) <= fc.tail_bound
+        assert fc.tail_bound > tail + _representation_allowance(fc.coeffs)
+
+
+@pytest.mark.parametrize("lam, m_max", SWEEP_TABLE_CASES)
+def test_sweep_rows_equal_coefficient_table(lam, m_max):
+    """The sweep's rows equal the reference table's rows within their
+    tail_bound, the contract of FockCoefficients; the largest difference
+    is below 1e-4 tail_bound."""
+    tau = _tau_of(lam)
+    cuts = [_tail_cutoff(m, tau, 1e-12) for m in range(m_max + 1)]
+    _sweep_within_table(dilated_fock_sweep(m_max, lam), tau, cuts)
 
 
 @pytest.mark.parametrize("lam", [1.0001, 1.2, 2.0, 3.0, 10.0, 0.5, -2.0])
@@ -506,7 +534,8 @@ def test_sweep_cutoffs_equal_tail_cutoff(lam, eps):
 
 def test_sweep_m500_memory():
     """M = 500 at lam = 3 (N = 11049): the long-double table made a 111 MB
-    tracemalloc peak; the float64 kept cells and the rows stay under 80 MB."""
+    tracemalloc peak; the float64 rows and one block of FFT buffers stay
+    under 80 MB."""
     tracemalloc.start()
     try:
         rows = dilated_fock_sweep(500, 3.0)
@@ -518,9 +547,10 @@ def test_sweep_m500_memory():
 
 
 def test_sweep_m500_memory_is_rows_plus_block():
-    """At M = 500, lam = 3 the working memory is the returned rows plus one
-    block of 4 (M + 1) diagonals (8 MB), not a (diagonals, M + 1) buffer
-    (46 MB, which made a 69 MB peak against 22 MB of rows)."""
+    """At M = 500, lam = 3 the working memory is the returned rows (22 MB)
+    plus one block: the samples and the transform of 16 rows at the top
+    row's FFT length, and the grid (7.4 MB), not an (M + 1) x (N + 1)
+    table."""
     tracemalloc.start()
     try:
         rows = dilated_fock_sweep(500, 3.0)
@@ -531,36 +561,35 @@ def test_sweep_m500_memory_is_rows_plus_block():
     assert peak <= row_bytes + 10e6
 
 
-# (m_max, lam, eps) with the diagonal count D = max_j (j + N_j) + 1 below
-# one block of B = 4 (m_max + 1) diagonals, a multiple of B, and one past
-# a multiple; the test checks each case still has its named position.
+# m_max with the last row at the end of a block of _SWEEP_BLOCK = 16 rows
+# (15, 31), one row past it (16, 32) and two rows past it (17); 0 is a
+# sweep of one row.
 SWEEP_BLOCK_CASES = [
-    ("below", 3, 1.1, 1e-6),
-    ("below", 300, 1.2, 1e-12),
-    ("multiple", 0, 2.0, 1e-6),
-    ("multiple", 16, 2.0, 1e-12),
-    ("multiple", 66, 3.0, 1e-9),
-    ("past", 0, 1.2, 1e-12),
-    ("past", 5, 2.5, 1e-12),
-    ("past", 65, 3.0, 1e-9),
+    (0, 1.2, 1e-12),
+    (15, 2.0, 1e-12),
+    (16, 3.0, 1e-9),
+    (17, 2.5, 1e-12),
+    (31, 1.1, 1e-6),
+    (32, -2.0, 1e-12),
 ]
 
 
-@pytest.mark.parametrize("position, m_max, lam, eps", SWEEP_BLOCK_CASES)
-def test_sweep_rows_equal_coefficient_table_at_block_edges(position, m_max, lam, eps):
+@pytest.mark.parametrize("m_max, lam, eps", SWEEP_BLOCK_CASES)
+def test_sweep_rows_equal_coefficient_table_at_block_edges(m_max, lam, eps):
+    """Rows at and past the edges of a block equal the reference table's
+    within their tail_bound, which is the analytic tail plus the rounding
+    allowance at the FFT length of the row's block, set by its top row,
+    plus the float64 allowance."""
+    assert _SWEEP_BLOCK == 16
     tau = _tau_of(lam)
     cuts = _sweep_cutoffs(range(m_max + 1), tau, eps)
-    diagonals = max(j + n for j, (n, _) in enumerate(cuts)) + 1
-    height = 4 * (m_max + 1)
-    assert {"below": diagonals < height,
-            "multiple": diagonals % height == 0,
-            "past": diagonals > height and diagonals % height == 1}[position]
-    table = coefficient_rows(m_max, tau, max(n for n, _ in cuts))
     rows = dilated_fock_sweep(m_max, lam, eps)
+    _sweep_within_table(rows, tau, cuts)
     for m, (fc, (n_cut, tail)) in enumerate(zip(rows, cuts)):
-        oracle = np.asarray(table[m, : n_cut + 1], dtype=float)
-        assert fc.truncation_N == n_cut and np.array_equal(fc.coeffs, oracle)
-        assert fc.tail_bound == tail + _representation_allowance(oracle)
+        j0, top = m - m % 16, min(m - m % 16 + 15, m_max)
+        length = _fft_length(max(n for n, _ in cuts[j0 : top + 1]), top, tau)
+        rounding = _rounding_allowance(tau, 1.0, m, length, n_cut)
+        assert fc.tail_bound == tail + rounding + _representation_allowance(fc.coeffs)
 
 
 def test_trace_norm_sum_grows_in_m():
@@ -651,6 +680,22 @@ def test_airy_limit_error_frozen_values():
     assert airy_limit_error(1.0, 100, 2.0) == pytest.approx(0.13480794, abs=1e-7)
     assert airy_limit_error(1.0, 1000, 2.0) == pytest.approx(0.061882031, abs=1e-8)
     assert airy_limit_error(0.5, 10000, 2.0) == pytest.approx(0.014121628, abs=1e-8)
+
+
+@pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("k", [1.0, 2.0])
+def test_airy_limit_error_leading_term_is_uncompensated_phase(k, lam):
+    """The error less its predicted leading term |e^(i phi) - 1|,
+    phi = ((lam^2 - 1) / 2) a_m k, is O(m^(-2/3)): it falls by at least
+    3.5x per decade of m (m^(-2/3) gives 4.64x), while the error itself
+    falls like m^(-1/3) (2.15x)."""
+    tau = _tau_of(lam)
+    rests = []
+    for m in (10**3, 10**4, 10**5):
+        a_m = (1.0 - tau) / (m * tau * (1.0 + tau)) ** (1.0 / 3.0)
+        predicted = abs(np.exp(1j * (lam * lam - 1.0) / 2.0 * a_m * k) - 1.0)
+        rests.append(abs(airy_limit_error(k, m, lam) - predicted))
+    assert rests[0] >= 3.5 * rests[1] and rests[1] >= 3.5 * rests[2], rests
 
 
 def test_airy_limit_error_rejects_bad_arguments():
