@@ -296,7 +296,7 @@ def is_g2g(gmap, tol=DEFAULT_TOL):
     Returns:
         True or False.
     """
-    return classify(gmap, tol=tol).is_g2g
+    return _classify(gmap, *_h_forms(gmap), tol)[0].is_g2g
 
 
 def classify(gmap, tol=DEFAULT_TOL):
@@ -313,18 +313,26 @@ def classify(gmap, tol=DEFAULT_TOL):
     carries a violating direction, and a verdict from solve_h carries its
     certificate (see ClassificationReport).
     """
-    return _classify(gmap, *_h_forms(gmap), tol)[0]
+    A, G, sizes = _h_forms(gmap)
+    report, _, bracket = _classify(gmap, A, G, sizes, tol)
+    if bracket is not None:
+        w, objective = _max_h_witness(gmap, G, *bracket)
+        report.witness, report.margin = Witness(w=w, objective=objective), objective
+    return report
 
 
 def _classify(gmap, A, G, sizes, tol):
-    """classify on the forms of _h_forms.
+    """classify on the forms of _h_forms, without the witness of solve_h.
 
     Returns:
-        (report, ends). For a G2G verdict, ends = ((c_lo, h(c_lo)), (c_hi,
-        h(c_hi))) are the points decompose factors at, with the values of h
-        already computed there: (1, 1) for a CP map, the feasible interval,
-        or (c_star, c_star) when h_max passes the verdict but not the
-        solve's floor. None for a False verdict.
+        (report, ends, bracket). For a G2G verdict, ends = ((c_lo, h(c_lo)),
+        (c_hi, h(c_hi))) are the points decompose factors at, with the values
+        of h already computed there: (1, 1) for a CP map, the feasible
+        interval, or (c_star, c_star) when h_max passes the verdict but not
+        the solve's floor; None for a False verdict. When solve_h rejects,
+        bracket is its final bracket (v_lo, v_hi) and the report's witness
+        and margin are None, for classify to fill from _max_h_witness;
+        otherwise bracket is None.
     """
     atol = tol * _scale(sizes)
     w_a, v_a = np.linalg.eigh(gmap.alpha)
@@ -332,7 +340,7 @@ def _classify(gmap, A, G, sizes, tol):
     cp = h_one >= -atol
     report = partial(ClassificationReport, is_cp=cp, is_classical_g2g=bool(w_a[0] >= -atol))
     if cp:
-        return report(is_g2g=True, method="cp_implies_g2g", c_star=1.0), ((1.0, h_one),) * 2
+        return report(is_g2g=True, method="cp_implies_g2g", c_star=1.0), ((1.0, h_one),) * 2, None
     if w_a[0] < -atol:
         a_min = float(w_a[0])
         return report(
@@ -340,18 +348,12 @@ def _classify(gmap, A, G, sizes, tol):
             witness=Witness(w=v_a[:, 0].astype(complex), objective=a_min),
             margin=a_min,
             method="negative_alpha",
-        ), None
+        ), None, None
     solution, bracket, ends = _solve_h(A, G, _scale(sizes))
     if solution.h_max >= -tol * _scale(sizes, solution.c_star):
         ends = ends or ((solution.c_star, solution.h_max),) * 2
-        return report(is_g2g=True, margin=max(solution.h_max, 0.0), **vars(solution)), ends
-    w, objective = _max_h_witness(gmap, G, *bracket)
-    return report(
-        is_g2g=False,
-        witness=Witness(w=w, objective=objective),
-        margin=objective,
-        **vars(solution),
-    ), None
+        return report(is_g2g=True, margin=max(solution.h_max, 0.0), **vars(solution)), ends, None
+    return report(is_g2g=False, **vars(solution)), None, bracket
 
 
 def _residual(gmap, lam, transposed):
@@ -500,7 +502,7 @@ def decompose(gmap, tol=DEFAULT_TOL):
         its scale is below 1).
     """
     A, G, sizes = _h_forms(gmap)
-    report, ends = _classify(gmap, A, G, sizes, tol)
+    report, ends, _ = _classify(gmap, A, G, sizes, tol)
     noiseless = sizes[0] <= tol * _scale(sizes)
     if not report.is_g2g:
         reason = _noiseless_rejection(gmap, G, sizes, tol) if noiseless else "no normal form exists"

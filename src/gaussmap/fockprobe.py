@@ -12,18 +12,20 @@ the sequences grow, probes finite Fock mixtures for negativity (the
 convex-hull certificate), and evaluates the oscillatory large-m limit
 of g_m along its natural scaling.
 
-A single row, a mixture sum_m c_m g_m and every row of a sweep are read
-off samples on the unit circle by a long-double FFT of the Hermitian
-half of the circle (`_fft_coefficients`, `_sweep_block`), in
+Rows and mixtures sum_m c_m g_m are read off samples on the unit circle
+by a long-double FFT of the Hermitian half of the circle, in
 O(N log N) time and O(N) memory for N coefficients. Each sample is g_0
 times a polynomial in the unimodular s = (z - tau) / (1 - tau z),
 formed by divisions and binary powering with no transcendental function
 (`_grid_samples`). The grid points z take long-double cos and sin on
 one eighth of the circle only; the rest of the half circle is their
-exact reflections (`_half_circle`). A sweep transforms its rows in
-blocks of `_SWEEP_BLOCK` that share one grid, where row j's samples are
-row j - 1's times s. The returned tail bound covers the analytic tail
-beyond the cutoff, the aliasing of the FFT and its rounding
+exact reflections (`_half_circle`). Single rows, norm sums and sweeps
+share one row builder, `_rows`: it transforms consecutive rows in
+blocks of `_SWEEP_BLOCK` that share one grid, where row m's samples are
+row m - 1's times s, and a single row is a block of one. Mixtures go
+through `_fft_coefficients`, which evaluates the polynomial by Horner's
+rule. The returned tail bound covers the analytic tail beyond the
+cutoff, the aliasing of the FFT and its rounding
 (`_rounding_allowance`).
 """
 
@@ -74,8 +76,7 @@ def _log_tail(m, tau, k):
 
 
 # Largest row length N = m + k that _tail_cutoff accepts: 10^7 coefficients, about
-# 1 GB per row, as _fft_coefficients peaks at about 96 bytes per coefficient
-# (tracemalloc).
+# 1 GB per row, as a row peaks at about 96 bytes per coefficient (tracemalloc).
 _MAX_TAIL_N = 10**7
 
 
@@ -164,7 +165,7 @@ def _smooth_length(n):
 
 
 def _fft_length(n_cut, m_top, tau):
-    """FFT length of `_fft_coefficients`: the least multiple of 8 that is
+    """FFT length of a row or mixture: the least multiple of 8 that is
     2-3-5-smooth and above both n_cut and the index N_u where the analytic
     tail of g_(m_top) falls below u (the long-double unit roundoff).
 
@@ -217,8 +218,8 @@ def _times_power(acc, s, k):
 
 
 def _grid_samples(length, tau):
-    """(s, g_0) of `_fft_coefficients` at the conjugate grid points
-    conj(z_k), k <= length / 2, whose irfft gives the coefficients."""
+    """(s, g_0) of `_fft_coefficients` and `_rows` at the conjugate grid
+    points conj(z_k), k <= length / 2, whose irfft gives the coefficients."""
     tau_l = np.longdouble(tau)
     z = _half_circle(length)
     np.negative(z.imag, out=z.imag)
@@ -245,6 +246,9 @@ def _rounding_allowance(tau, weight_l1, m_top, length, n_cut):
 def _fft_coefficients(weights, tau, n_cut):
     """Coefficients 0..n_cut of sum_m weights[m] g_m by one long-double FFT.
 
+    It serves `probe_fock_mixture`; single rows and sweeps come from
+    `_rows`, whose allowance is this one for the weights e_m.
+
     On the unit circle z = e^(i theta) write w = 1 - tau z. Then
 
         g_m(z) = g_0 s^m,  g_0 = (1 - tau) / w,  s = (z - tau) / w,
@@ -254,9 +258,9 @@ def _fft_coefficients(weights, tau, n_cut):
     weights: a gap of k indices multiplies by s^k, formed by binary
     powering (`_times_power`), and the last step by s^prev g_0, prev the
     lowest index. Each sample costs two divisions and products only, no
-    transcendental function. A single row is the one-term case, about
-    2 log2(m) products per sample; a dense mixture up to M costs O(M L)
-    and no table. The samples are taken at conj(z_k), z_k = e^(i theta_k),
+    transcendental function. A gap of k costs about 2 log2(k) products
+    per sample, and a dense mixture up to M costs O(M L) and no table.
+    The samples are taken at conj(z_k), z_k = e^(i theta_k),
     theta_k = 2 pi k / L, k <= L/2 (`_grid_samples`), and np.fft.irfft
     transforms them as the Hermitian signal they are: g(conj z) =
     conj g(z), since tau is real, so irfft of the conjugate samples is the
@@ -374,35 +378,47 @@ def _fft_coefficients(weights, tau, n_cut):
     return coeffs, _rounding_allowance(tau, weight_l1, m_top, length, n_cut)
 
 
-# Rows of a sweep that share one grid and one transform.
+# Rows that share one grid and one transform.
 _SWEEP_BLOCK = 16
 
 
-def _sweep_block(tau, cuts, j0):
-    """Rows j0 .. j0 + _SWEEP_BLOCK - 1 of a sweep (fewer at the end of
-    cuts), each of length L in long double, and the l1 rounding allowance
-    of each over 0..N_j, with cuts[j] = (N_j, tail).
+def _rows(m_lo, m_hi, tau, eps):
+    """Rows m_lo .. m_hi of g_m: yields (m, row 0..N_m in long double, N_m,
+    analytic tail + l1 rounding allowance); tau = 0 gives the exact
+    identity rows with a zero bound.
 
-    The rows share one grid, of the `_fft_length` L of the block's largest
-    N_j and top row, so L > N_j for each, and one irfft along the rows.
-    As g_j = g_0 s^j, the first row's samples are g_0 s^j0 by binary
-    powering and each later row's are the row before times s. Row j's
-    samples thus pass the factor g_0 and products by powers of s whose
-    exponents add up to j, and no weight is added: the allowance that
-    `_fft_coefficients` derives for the weights e_j holds for it.
+    Each row is cut at its own certified cutoff (`_sweep_cutoffs`). Blocks
+    of `_SWEEP_BLOCK` rows share one grid, of the `_fft_length` L of the
+    block's largest N_m and top row, so L > N_m for each, and one irfft
+    along the rows. As g_m = g_0 s^m, the first row m0 of a block has the
+    samples g_0 s^m0, by binary powering, and each later row's are the row
+    before times s. Row m's samples thus pass the factor g_0 and products
+    by powers of s whose exponents add up to m, so its allowance is the one
+    `_fft_coefficients` derives for the weights e_m.
     """
-    j1 = min(j0 + _SWEEP_BLOCK, len(cuts))
-    n_top = max(n for n, _ in cuts[j0:j1])
-    length = _fft_length(n_top, j1 - 1, tau)
-    s, g_0 = _grid_samples(length, tau)
-    acc = np.empty((j1 - j0, s.size), dtype=np.clongdouble)
-    acc[0] = g_0
-    _times_power(acc[0], s, j0)
-    for i in range(1, j1 - j0):
-        np.multiply(acc[i - 1], s, out=acc[i])
-    coeffs = np.fft.irfft(acc, length, axis=1)
-    rounding = [_rounding_allowance(tau, 1.0, j, length, cuts[j][0]) for j in range(j0, j1)]
-    return coeffs, rounding
+    if tau == 0.0:
+        for m in range(m_lo, m_hi + 1):
+            row = np.zeros(m + 1, dtype=np.longdouble)
+            row[m] = 1.0
+            yield m, row, m, 0.0
+        return
+    cuts = _sweep_cutoffs(range(m_lo, m_hi + 1), tau, eps)
+    for j0 in range(0, len(cuts), _SWEEP_BLOCK):
+        block, m0 = cuts[j0 : j0 + _SWEEP_BLOCK], m_lo + j0
+        length = _fft_length(max(n for n, _ in block), m0 + len(block) - 1, tau)
+        s, g_0 = _grid_samples(length, tau)
+        acc = np.empty((len(block), s.size), dtype=np.clongdouble)
+        acc[0] = g_0
+        _times_power(acc[0], s, m0)
+        for i in range(1, len(block)):
+            np.multiply(acc[i - 1], s, out=acc[i])
+        coeffs = np.fft.irfft(acc, length, axis=1)
+        # Free the samples before handing out rows, so that the next
+        # block's buffers are not allocated next to them.
+        del s, g_0, acc
+        for i, (n_cut, tail) in enumerate(block):
+            rounding = _rounding_allowance(tau, 1.0, m0 + i, length, n_cut)
+            yield m0 + i, coeffs[i, : n_cut + 1], n_cut, tail + rounding
 
 
 @dataclass
@@ -468,23 +484,16 @@ def _representation_allowance(coeffs):
     return coeffs.size * 2.3e-16 * max(1.0, peak)
 
 
-def _row(m, lam, eps):
-    """Extended-precision row p^(m) plus its cutoff data; tau = 0 is exact.
-
-    The returned bound is the analytic tail plus the FFT's rounding
-    allowance; the caller adds the float64 allowance when it rounds.
-    """
-    _validate(m, eps)
+def _fock_coefficients(m_lo, m_hi, lam, eps):
+    """FockCoefficients for m_lo .. m_hi from `_rows`; the tail_bound of an
+    inexact row adds the float64 allowance of the stored row."""
+    _validate(m_hi, eps)
     tau = _tau_of(lam)
-    if tau == 0.0:
-        row = np.zeros(m + 1, dtype=np.longdouble)
-        row[m] = 1.0
-        return row, tau, m, 0.0
-    n_cut, tail = _tail_cutoff(m, tau, eps)
-    weights = np.zeros(m + 1)
-    weights[m] = 1.0
-    row, rounding = _fft_coefficients(weights, tau, n_cut)
-    return row, tau, n_cut, tail + rounding
+    for m, row, n_cut, bound in _rows(m_lo, m_hi, tau, eps):
+        coeffs = row.astype(float)
+        if bound > 0.0:
+            bound += _representation_allowance(coeffs)
+        yield FockCoefficients(m, float(lam), tau, coeffs, n_cut, bound)
 
 
 def dilated_fock_coefficients(m, lam, eps=DEFAULT_EPS):
@@ -504,47 +513,21 @@ def dilated_fock_coefficients(m, lam, eps=DEFAULT_EPS):
     Returns:
         FockCoefficients with float64 coefficients.
     """
-    row, tau, n_cut, tail = _row(m, lam, eps)
-    coeffs = np.asarray(row, dtype=float)
-    if tail > 0.0:
-        tail += _representation_allowance(coeffs)
-    return FockCoefficients(
-        m=int(m),
-        lam=float(lam),
-        tau=float(tau),
-        coeffs=coeffs,
-        truncation_N=int(n_cut),
-        tail_bound=float(tail),
-    )
+    return next(_fock_coefficients(m, m, lam, eps))
 
 
 def dilated_fock_sweep(m_max, lam, eps=DEFAULT_EPS):
     """FockCoefficients for every m <= m_max.
 
     Each row is cut at its own certified cutoff; one pass over m finds
-    them all (`_sweep_cutoffs`). The rows are single rows of the FFT,
+    them all (`_sweep_cutoffs`). The rows are those of single rows,
     computed in blocks of `_SWEEP_BLOCK` that share one grid and one
-    transform (`_sweep_block`), so a sweep costs O(N log N) long-double
-    work per row, N the largest cutoff of its block, and its memory is
-    the float64 rows plus one block. As for a single row, tail_bound is
-    the analytic tail plus the FFT's rounding allowance plus the float64
-    allowance.
+    transform (`_rows`), so a sweep costs O(N log N) long-double work per
+    row, N the largest cutoff of its block, and its memory is the float64
+    rows plus one block. As for a single row, tail_bound is the analytic
+    tail plus the FFT's rounding allowance plus the float64 allowance.
     """
-    _validate(m_max, eps)
-    tau = _tau_of(lam)
-    if tau == 0.0:
-        return [FockCoefficients(m, float(lam), 0.0, np.eye(1, m + 1, m)[0], m, 0.0)
-                for m in range(m_max + 1)]
-    cuts = _sweep_cutoffs(range(m_max + 1), tau, eps)
-    rows = []
-    for j0 in range(0, m_max + 1, _SWEEP_BLOCK):
-        block, rounding = _sweep_block(tau, cuts, j0)
-        for m, row, allowance in zip(range(j0, m_max + 1), block, rounding):
-            n_cut, tail = cuts[m]
-            coeffs = row[: n_cut + 1].astype(float)
-            bound = tail + allowance + _representation_allowance(coeffs)
-            rows.append(FockCoefficients(m, float(lam), float(tau), coeffs, n_cut, float(bound)))
-    return rows
+    return list(_fock_coefficients(0, m_max, lam, eps))
 
 
 def trace_norm_sum(m, lam, eps=DEFAULT_EPS):
@@ -553,13 +536,15 @@ def trace_norm_sum(m, lam, eps=DEFAULT_EPS):
     Grows without bound in m whenever |lam| != 1; the growth across
     decades of m is the quantitative shadow of that unboundedness.
     """
-    row, _, _, _ = _row(m, lam, eps)
+    _validate(m, eps)
+    _, row, _, _ = next(_rows(m, m, _tau_of(lam), eps))
     return float(np.sum(np.abs(row)))
 
 
 def hs_norm_check(m, lam, eps=DEFAULT_EPS):
     """Sum of p_n^2; equals 1 / lam^2 up to truncation effects."""
-    row, _, _, _ = _row(m, lam, eps)
+    _validate(m, eps)
+    _, row, _, _ = next(_rows(m, m, _tau_of(lam), eps))
     return float(np.sum(row * row))
 
 

@@ -7,7 +7,7 @@ Maps are stored raw, with no validity assumption: classification is a
 query, and representing invalid candidates is the whole point.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class GaussianState:
 
     mean: np.ndarray
     cov: np.ndarray
-    tol: float = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
@@ -36,7 +35,7 @@ class GaussianState:
             raise ValueError(
                 f"covariance shape {self.cov.shape} does not match mean length {d}"
             )
-        if not is_valid_covariance(self.cov, tol=self.tol):
+        if not is_valid_covariance(self.cov):
             raise ValueError("covariance matrix is not a valid quantum covariance")
 
     @property
@@ -51,7 +50,6 @@ class GaussianMap:
     K: np.ndarray
     alpha: np.ndarray
     y0: np.ndarray = None
-    tol: float = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
         self.K = np.asarray(self.K, dtype=float)
@@ -63,7 +61,7 @@ class GaussianMap:
             raise ValueError(
                 f"alpha shape {self.alpha.shape} does not match K shape {self.K.shape}"
             )
-        self.alpha = _check_symmetric(self.alpha, self.tol, name="alpha")
+        self.alpha = _check_symmetric(self.alpha, DEFAULT_TOL, name="alpha")
         if self.y0 is None:
             self.y0 = np.zeros(d)
         else:

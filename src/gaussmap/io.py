@@ -98,10 +98,20 @@ def load_state_arrays(path):
     return mean, _check_symmetric(cov, DEFAULT_TOL, name=f"{path}: cov")
 
 
+def _plain(value):
+    """json.dumps hook: a numpy array as a list, a numpy scalar as a Python scalar."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _write_json(path, doc):
-    """Write doc with sorted keys, a 2-space indent and a trailing newline."""
+    """Write doc with sorted keys, a 2-space indent and a trailing newline;
+    numpy arrays and scalars are written as their Python values."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True, default=_plain) + "\n")
 
 
 def save_map(path, gmap):
@@ -136,24 +146,8 @@ def interleave_complex(w):
     return out.tolist()
 
 
-def _pythonize(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, dict):
-        return {k: _pythonize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_pythonize(v) for v in value]
-    return value
-
-
 def write_report(path, payload):
     """Write a report file; deterministic apart from the timestamp."""
-    doc = _pythonize(dict(payload))
+    doc = dict(payload)
     doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     _write_json(path, doc)

@@ -477,8 +477,10 @@ def test_alpha_threshold_shared_by_g2g_and_classical(n):
 
 def test_classify_computes_delta_K_once_per_decision(monkeypatch):
     """Every exit of classify shares one K D K^T; only the witness check,
-    direction_margin, computes it again from the map. A noiseless
-    decompose reads its proportionality off the same one."""
+    direction_margin, computes it again from the map. is_g2g and
+    decompose report no witness, so they build none: one K D K^T and no
+    direction_margin on every map. A noiseless decompose reads its
+    proportionality off the same one."""
     module = importlib.import_module("gaussmap.classify")
     calls = {"delta_K": 0, "direction_margin": 0}
     for name in calls:
@@ -503,6 +505,16 @@ def test_classify_computes_delta_K_once_per_decision(monkeypatch):
         assert calls["delta_K"] == 1 + calls["direction_margin"]
         solved_false = method == "concave_h_maximum" and not verdict
         assert calls["direction_margin"] >= 2 if solved_false else calls["direction_margin"] == 0
+        calls.update(delta_K=0, direction_margin=0)
+        assert module.is_g2g(gmap) is verdict
+        assert calls == {"delta_K": 1, "direction_margin": 0}
+        calls.update(delta_K=0, direction_margin=0)
+        if verdict:
+            module.decompose(gmap)
+        else:
+            with pytest.raises(ValueError, match="not Gaussian-to-Gaussian"):
+                module.decompose(gmap)
+        assert calls == {"delta_K": 1, "direction_margin": 0}
     calls.update(delta_K=0, direction_margin=0)
     K = 3.0 * random_symplectic(2, np.random.default_rng(5))
     nf = module.decompose(GaussianMap(K=K, alpha=np.zeros((4, 4))))

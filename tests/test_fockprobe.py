@@ -24,8 +24,8 @@ from gaussmap.fockprobe import (
     _log_tail,
     _representation_allowance,
     _rounding_allowance,
+    _rows,
     _smooth_length,
-    _sweep_block,
     _sweep_cutoffs,
     _tail_cutoff,
     _tau_of,
@@ -230,30 +230,6 @@ def _mpf_of(x):
     return mpmath.mpf(head) + mpmath.mpf(float(x - np.longdouble(head)))
 
 
-def test_long_double_fft_within_derived_pass_bound():
-    """The transform bound of `_fft_coefficients`, 17 u log2(L) relative
-    in l2, against an exact DFT of a random vector at a length that
-    uses radices 8, 3 and 5."""
-    import mpmath
-
-    length = 120
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-    y = np.fft.fft(x.astype(np.clongdouble))
-    u = float(np.finfo(np.longdouble).eps) / 2.0
-    with mpmath.workdps(40):
-        w = [mpmath.exp(-2j * mpmath.pi * k / length) for k in range(length)]
-        xs = [mpmath.mpc(float(v.real), float(v.imag)) for v in x]
-        err2 = norm2 = mpmath.mpf(0)
-        for n in range(length):
-            exact = mpmath.fsum(xs[k] * w[(k * n) % length] for k in range(length))
-            got = mpmath.mpc(_mpf_of(y[n].real), _mpf_of(y[n].imag))
-            err2 += abs(got - exact) ** 2
-            norm2 += abs(exact) ** 2
-        rel = float(mpmath.sqrt(err2 / norm2))
-    assert rel <= 17.0 * u * math.log2(length)
-
-
 def test_long_double_hfft_within_derived_pass_bound():
     """The transform bound of `_fft_coefficients` for its Hermitian
     transform, np.fft.irfft: 16 u log2(L) relative in l2, plus 2u for the
@@ -338,31 +314,50 @@ def _alias(weights, tau, length):
     )
 
 
+def _block_length(tau, cuts, m_lo, m):
+    """FFT length of the block of `_rows(m_lo, ...)` that holds row m, where
+    cuts[j] is the cutoff of row m_lo + j: blocks of _SWEEP_BLOCK rows
+    start at m_lo and take the length of their largest cutoff and top row."""
+    j0 = (m - m_lo) - (m - m_lo) % _SWEEP_BLOCK
+    block = cuts[j0 : j0 + _SWEEP_BLOCK]
+    return _fft_length(max(n for n, _ in block), m_lo + j0 + len(block) - 1, tau)
+
+
 @pytest.mark.parametrize("lam", [0.5, -2.0, 1.2, 2.0, 3.0])
 def test_fft_rows_within_rounding_allowance_of_exact_sum(lam):
-    """Rows 0, 1, 37 and 200, alone and in `dilated_fock_sweep(200, lam)`,
-    against the exact double binomial sum: the l1 error over the kept
-    indices stays within the rounding allowance that `_fft_coefficients`
-    derives (plus its aliasing, below u). A sweep row is checked in long
-    double, as its block computes it, and the sweep returns its float64
-    rounding."""
+    """Rows 0, 1, 37 and 200 as one-term mixtures, as single rows and in
+    `dilated_fock_sweep(200, lam)`, against the exact double binomial sum:
+    the l1 error over the kept indices stays within the rounding
+    allowance that `_fft_coefficients` derives (plus its aliasing, below
+    u). The rows of `_rows` are checked in long double, as their block
+    computes them, with the allowance at their block's FFT length, and
+    the sweep returns their float64 rounding."""
     tau = _tau_of(lam)
     cuts = _sweep_cutoffs(range(201), tau, 1e-12)
     sweep = dilated_fock_sweep(200, lam)
-    for m in (0, 1, 37, 200):
+    ms = (0, 1, 37, 200)
+    swept = {m: rest for m, *rest in _rows(0, 200, tau, 1e-12) if m in ms}
+    for m in ms:
         weights = np.zeros(m + 1)
         weights[m] = 1.0
-        n_cut = cuts[m][0]
+        n_cut, tail = cuts[m]
         exact = _exact_fixed_point(weights, tau, n_cut)
         coeffs, rounding = _fft_coefficients(weights, tau, n_cut)
         err = _l1_error(coeffs, exact)
         assert err <= rounding + _alias(weights, tau, _fft_length(n_cut, m, tau)), (m, err)
-        i = m % _SWEEP_BLOCK
-        block, block_rounding = _sweep_block(tau, cuts, m - i)
-        row = block[i, : n_cut + 1]
+        (m_row, row, n_row, bound), = _rows(m, m, tau, 1e-12)
+        length = _fft_length(n_cut, m, tau)
+        rounding = _rounding_allowance(tau, 1.0, m, length, n_cut)
+        assert (m_row, n_row, bound) == (m, n_cut, tail + rounding) and row.dtype == np.longdouble
+        err = _l1_error(row, exact)
+        assert err <= rounding + _alias(weights, tau, length), (m, err)
+        row, n_row, bound = swept[m]
+        length = _block_length(tau, cuts, 0, m)
+        rounding = _rounding_allowance(tau, 1.0, m, length, n_cut)
+        assert (n_row, bound) == (n_cut, tail + rounding) and row.dtype == np.longdouble
         assert np.array_equal(sweep[m].coeffs, row.astype(float))
         err = _l1_error(row, exact)
-        assert err <= block_rounding[i] + _alias(weights, tau, block.shape[1]), (m, err)
+        assert err <= rounding + _alias(weights, tau, length), (m, err)
 
 
 @pytest.mark.parametrize("lam", [1.2, 2.0])
@@ -586,10 +581,39 @@ def test_sweep_rows_equal_coefficient_table_at_block_edges(m_max, lam, eps):
     rows = dilated_fock_sweep(m_max, lam, eps)
     _sweep_within_table(rows, tau, cuts)
     for m, (fc, (n_cut, tail)) in enumerate(zip(rows, cuts)):
-        j0, top = m - m % 16, min(m - m % 16 + 15, m_max)
-        length = _fft_length(max(n for n, _ in cuts[j0 : top + 1]), top, tau)
-        rounding = _rounding_allowance(tau, 1.0, m, length, n_cut)
+        rounding = _rounding_allowance(tau, 1.0, m, _block_length(tau, cuts, 0, m), n_cut)
         assert fc.tail_bound == tail + rounding + _representation_allowance(fc.coeffs)
+
+
+@pytest.mark.parametrize("m_lo, m_hi, lam, eps", [
+    (5, 5, 2.0, 1e-12),
+    (1, 17, 0.5, 1e-12),
+    (7, 40, 3.0, 1e-12),
+    (100, 131, -2.0, 1e-9),
+])
+def test_rows_from_any_start_keep_block_bounds(m_lo, m_hi, lam, eps):
+    """`_rows` started at m_lo > 0 counts its blocks from m_lo: each row has
+    its own cutoff, a bound of the analytic tail plus the rounding
+    allowance at its block's FFT length, and is within that bound plus
+    the float64 allowance, in l1, of the reference table's row. A block
+    of one row is the single row that dilated_fock_coefficients returns."""
+    tau = _tau_of(lam)
+    cuts = _sweep_cutoffs(range(m_lo, m_hi + 1), tau, eps)
+    table = coefficient_rows(m_hi, tau, max(n for n, _ in cuts))
+    rows = list(_rows(m_lo, m_hi, tau, eps))
+    assert [m for m, *_ in rows] == list(range(m_lo, m_hi + 1))
+    for (m, row, n_row, bound), (n_cut, tail) in zip(rows, cuts):
+        assert n_row == n_cut and row.dtype == np.longdouble and row.size == n_cut + 1
+        rounding = _rounding_allowance(tau, 1.0, m, _block_length(tau, cuts, m_lo, m), n_cut)
+        assert bound == tail + rounding
+        coeffs = row.astype(float)
+        oracle = np.asarray(table[m, : n_cut + 1], dtype=float)
+        assert np.sum(np.abs(coeffs - oracle)) <= bound + _representation_allowance(coeffs)
+    for m in (m_lo, m_hi):
+        (_, row, n_cut, bound), = _rows(m, m, tau, eps)
+        fc = dilated_fock_coefficients(m, lam, eps)
+        assert np.array_equal(fc.coeffs, row.astype(float)) and fc.truncation_N == n_cut
+        assert fc.tail_bound == bound + _representation_allowance(fc.coeffs)
 
 
 def test_trace_norm_sum_grows_in_m():
