@@ -356,12 +356,6 @@ def _classify(gmap, A, G, sizes, tol):
     return report(is_g2g=False, **vars(solution)), None, bracket
 
 
-def _residual(gmap, lam, transposed):
-    """The factor (K T^b / lam, alpha, y0) left by K = K' . T^b . (lam identity)."""
-    T_b = transposition_matrix(gmap.n) if transposed else np.eye(2 * gmap.n)
-    return GaussianMap(K=(gmap.K @ T_b) / lam, alpha=gmap.alpha.copy(), y0=gmap.y0.copy())
-
-
 def rescale_domain(gmap, mu):
     """Rescale the domain: (K, alpha, y0) -> (mu K, alpha, y0).
 
@@ -407,7 +401,7 @@ def q_exchange_example(nu):
     return GaussianMap(K=K, alpha=np.eye(4))
 
 
-def _factor_interval(gmap, sizes, ends, tol):
+def _factor_interval(sizes, ends, tol):
     """Read K = K' . T^b . (lam identity) with K' CP off a feasible interval of h.
 
     ends = ((c_lo, h(c_lo)), (c_hi, h(c_hi))) as _classify returns them:
@@ -427,7 +421,7 @@ def _factor_interval(gmap, sizes, ends, tol):
     (c = 1 / 22500) still counts.
 
     Returns:
-        None when no end qualifies, else (lam, transposed, residual GaussianMap).
+        None when no end qualifies, else (lam, transposed).
     """
     best = None
     for (end, h), transposed in ((ends[1], False), (ends[0], True)):
@@ -438,7 +432,7 @@ def _factor_interval(gmap, sizes, ends, tol):
         if best is not None and lam >= best[0] - tol:
             continue
         if h >= -tol * _scale(sizes, end):
-            best = (lam, transposed, _residual(gmap, lam, transposed))
+            best = (lam, transposed)
     return best
 
 
@@ -455,6 +449,12 @@ def _noiseless_rejection(gmap, G, sizes, tol):
     if abs(c) >= 1.0 or misfit > tol * max(abs(c), sizes[1]):
         return f"K D K.T is not proportional to D (proportionality residual {misfit:.3e})"
     return f"scale |c| = {abs(c):.6g} is below 1; the map contracts the canonical form"
+
+
+def _normal_form(gmap, kind, lam, transposed):
+    """The NormalForm of K = S . T^b . (lam identity): S = K T^b / lam, and gmap's alpha and y0."""
+    T_b = transposition_matrix(gmap.n) if transposed else np.eye(2 * gmap.n)
+    return NormalForm(kind, lam, transposed, (gmap.K @ T_b) / lam, gmap.alpha.copy(), gmap.y0.copy())
 
 
 def _one_mode_form(gmap, tol):
@@ -475,8 +475,7 @@ def _one_mode_form(gmap, tol):
         (False, True): "transpose_then_cp",
         (True, True): "dilatation_transpose_then_cp",
     }[dilated, transposed]
-    r = _residual(gmap, lam, transposed)
-    return NormalForm(kind, lam, transposed, r.K, r.alpha, r.y0)
+    return _normal_form(gmap, kind, lam, transposed)
 
 
 def decompose(gmap, tol=DEFAULT_TOL):
@@ -509,9 +508,8 @@ def decompose(gmap, tol=DEFAULT_TOL):
         raise ValueError(f"map is not Gaussian-to-Gaussian; {reason}")
     if gmap.n == 1:
         return _one_mode_form(gmap, tol)
-    factoring = _factor_interval(gmap, sizes, ends, tol)
+    factoring = _factor_interval(sizes, ends, tol)
     if factoring is None:
         return None
-    lam, transposed, r = factoring
     kind = "homogeneous" if noiseless else "homogeneous_factoring"
-    return NormalForm(kind, lam, transposed, r.K, r.alpha, r.y0)
+    return _normal_form(gmap, kind, *factoring)

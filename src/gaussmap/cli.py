@@ -15,19 +15,22 @@ and the number of eigensolves; a report carries them under
 "certificate". decompose prints the normal form of classify.decompose,
 which decides a map once and reads its factoring off that decision.
 
+The four commands that read files (validate, classify, decompose, apply)
+share one runner, _file_command; their handlers only print the library's
+answers and fill the report.
+
 Exit codes: 0 ok/true, 1 I/O or schema error, 2 invalid state or map
 not Gaussian-to-Gaussian, 4 no decomposition exists.
 """
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from . import __version__
 from .classify import classify, decompose
-from .fockprobe import airy_limit_error, probe_fock_mixture
+from .fockprobe import DEFAULT_EPS, airy_limit_error, probe_fock_mixture
 from .gaussian import apply_map_moments, transposition_matrix
 from .io import interleave_complex, load_map, load_state_arrays, write_report
 from .symplectic import DEFAULT_TOL, covariance_spectrum, is_valid_covariance
@@ -41,12 +44,6 @@ EXIT_NO_DECOMPOSITION = 4
 def _fail(message):
     print(message, file=sys.stderr)
     return EXIT_SCHEMA
-
-
-def _finish(args, payload, code):
-    if args.report:
-        write_report(args.report, payload)
-    return code
 
 
 def _fmt(x):
@@ -68,129 +65,99 @@ def _parse_list(text, flag, kind=float):
         raise ValueError(f"{flag} must be a comma-separated list of {what}, got {text!r}")
 
 
-def _check_tol(tol):
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"--tol must be a finite number >= 0, got {tol!r}")
+def _files(*names):
+    """add_arguments of a command that reads the named JSON files."""
+    def add_arguments(parser):
+        for name in names:
+            parser.add_argument(name, help=f"{name} JSON file")
+        parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance, a finite number >= 0")
+        parser.add_argument("--report", help="write a JSON report to this path")
+    return add_arguments
 
 
-def _witness_payload(witness):
-    if witness is None:
-        return None
-    return {
-        "direction": interleave_complex(witness.w),
-        "objective": float(witness.objective),
-    }
+def _file_command(command, *names):
+    """Decorator: the handler of a command that reads the named files (map, state).
+
+    A bad --tol or a file that fails to load ends the run with exit 1 and
+    one line "command: message" on stderr. The report starts with command,
+    input (or input_map and input_state), version and tol; the decorated
+    body(args, payload, *loaded) prints, fills the payload and returns the
+    exit code. --report is written unless that code is 1.
+    """
+    inputs = ["input"] if len(names) == 1 else [f"input_{name}" for name in names]
+
+    def wrap(body):
+        def handler(args):
+            # Looked up per call, so that a patched loader is the one called.
+            loaders = {"map": load_map, "state": load_state_arrays}
+            try:
+                if not (np.isfinite(args.tol) and args.tol >= 0):
+                    raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
+                loaded = [loaders[name](getattr(args, name)) for name in names]
+            except (OSError, ValueError) as exc:
+                return _fail(f"{command}: {exc}")
+            payload = {"command": command, "version": __version__, "tol": args.tol}
+            payload.update((key, getattr(args, name)) for key, name in zip(inputs, names))
+            code = body(args, payload, *loaded)
+            if args.report and code != EXIT_SCHEMA:
+                write_report(args.report, payload)
+            return code
+        return handler
+    return wrap
 
 
-def cmd_validate(args):
+@_file_command("validate", "state")
+def cmd_validate(args, payload, state):
     try:
-        _check_tol(args.tol)
-        mean, cov = load_state_arrays(args.state)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"validate: {exc}")
-    payload = {
-        "command": "validate",
-        "input": args.state,
-        "version": __version__,
-        "tol": args.tol,
-    }
-    try:
-        nu, valid = covariance_spectrum(cov, tol=args.tol)
+        nu, valid = covariance_spectrum(state[1], tol=args.tol)
     except ValueError as exc:
         payload.update(valid=False, symplectic_eigenvalues=None, note=str(exc))
         print(f"invalid: {exc}")
-        return _finish(args, payload, EXIT_INVALID)
+        return EXIT_INVALID
     payload.update(valid=bool(valid), symplectic_eigenvalues=nu.tolist())
     print("symplectic eigenvalues:", " ".join(_fmt(v) for v in nu))
     print("valid" if valid else "invalid: smallest symplectic eigenvalue below 1")
-    return _finish(args, payload, EXIT_OK if valid else EXIT_INVALID)
+    return EXIT_OK if valid else EXIT_INVALID
 
 
-def cmd_classify(args):
-    try:
-        _check_tol(args.tol)
-        gmap = load_map(args.map)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"classify: {exc}")
+@_file_command("classify", "map")
+def cmd_classify(args, payload, gmap):
     report = classify(gmap, tol=args.tol)
-    payload = {
-        "command": "classify",
-        "input": args.map,
-        "version": __version__,
-        "tol": args.tol,
-        "verdicts": {
-            "is_g2g": report.is_g2g,
-            "is_cp": report.is_cp,
-            "is_classical_g2g": report.is_classical_g2g,
-        },
-        "margins": {"direction_margin": report.margin},
-        "method": report.method,
-        "certificate": {
-            "h_max": report.h_max,
-            "c_star": report.c_star,
-            "h_upper": report.h_upper,
-            "interval": None if report.interval is None else list(report.interval),
-            "eigensolves": report.eigensolves,
-        },
-        "witness": _witness_payload(report.witness),
-    }
+    witness = report.witness
+    payload.update(
+        verdicts={key: getattr(report, key) for key in ("is_g2g", "is_cp", "is_classical_g2g")},
+        margins={"direction_margin": report.margin},
+        method=report.method,
+        # json writes the interval, a tuple, as a list.
+        certificate={
+            key: getattr(report, key) for key in ("h_max", "c_star", "h_upper", "interval", "eigensolves")},
+        witness=None if witness is None else {
+            "direction": interleave_complex(witness.w), "objective": float(witness.objective)},
+    )
     print(f"gaussian-to-gaussian: {str(report.is_g2g).lower()}")
     print(f"completely positive: {str(report.is_cp).lower()}")
     print(f"classical (alpha >= 0): {str(report.is_classical_g2g).lower()}")
     print(f"method: {report.method}")
-    if report.margin is not None:
-        print(f"margin: {_fmt(report.margin)}")
-    if report.h_max is not None:
-        print(f"h_max: {_fmt(report.h_max)}")
-    if report.c_star is not None:
-        print(f"c*: {_fmt(report.c_star)}")
-    if report.h_upper is not None:
-        print(f"h_upper: {_fmt(report.h_upper)}")
+    scalars = (("margin", report.margin), ("h_max", report.h_max),
+               ("c*", report.c_star), ("h_upper", report.h_upper))
+    for label, value in scalars:
+        if value is not None:
+            print(f"{label}: {_fmt(value)}")
     if report.interval is not None:
         print(f"interval: [{_fmt(report.interval[0])}, {_fmt(report.interval[1])}]")
     if report.eigensolves is not None:
         print(f"eigensolves: {report.eigensolves}")
-    return _finish(args, payload, EXIT_OK if report.is_g2g else EXIT_INVALID)
+    return EXIT_OK if report.is_g2g else EXIT_INVALID
 
 
-def _recomposition_residual(gmap, lam, transposed, factor_K):
-    t_b = transposition_matrix(gmap.n) if transposed else np.eye(2 * gmap.n)
-    recomposed = lam * (factor_K @ t_b)
-    return float(
-        np.max(np.abs(recomposed - gmap.K)) / max(1.0, np.max(np.abs(gmap.K)))
-    )
-
-
-def _normal_form_payload(nf):
-    return {
-        "kind": nf.kind,
-        "lam": nf.lam,
-        "transposed": nf.transposed,
-        "S": nf.S.tolist(),
-        "alpha": nf.alpha.tolist(),
-        "y0": nf.y0.tolist(),
-        "note": None,
-    }
-
-
-def cmd_decompose(args):
-    try:
-        _check_tol(args.tol)
-        gmap = load_map(args.map)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"decompose: {exc}")
-    payload = {
-        "command": "decompose",
-        "input": args.map,
-        "version": __version__,
-        "tol": args.tol,
-    }
+@_file_command("decompose", "map")
+def cmd_decompose(args, payload, gmap):
     try:
         nf = decompose(gmap, tol=args.tol)
     except ValueError as exc:  # not G2G; the message gives the reason
         print(exc)
         payload.update(normal_form=None, note="not Gaussian-to-Gaussian")
-        return _finish(args, payload, EXIT_INVALID)
+        return EXIT_INVALID
     if nf is None:
         print(
             "no decomposition: the map is Gaussian-to-Gaussian but does not "
@@ -198,45 +165,32 @@ def cmd_decompose(args):
             "completely positive map"
         )
         payload.update(normal_form=None, note="no homogeneous factoring")
-        return _finish(args, payload, EXIT_NO_DECOMPOSITION)
-    residual = _recomposition_residual(gmap, nf.lam, nf.transposed, nf.S)
-    payload.update(normal_form=_normal_form_payload(nf), recomposition_residual=residual)
+        return EXIT_NO_DECOMPOSITION
+    t_b = transposition_matrix(gmap.n) if nf.transposed else np.eye(2 * gmap.n)
+    scale = max(1.0, np.max(np.abs(gmap.K)))
+    residual = float(np.max(np.abs(nf.lam * (nf.S @ t_b) - gmap.K)) / scale)
+    payload.update(normal_form={**vars(nf), "note": None}, recomposition_residual=residual)
     print(f"kind: {nf.kind}")
     label = "scale" if nf.kind == "homogeneous" else "lam"
     print(f"{label}: {_fmt(nf.lam)}  transposed: {str(nf.transposed).lower()}")
     print(f"recomposition residual: {_fmt(residual)}")
-    return _finish(args, payload, EXIT_OK)
+    return EXIT_OK
 
 
-def cmd_apply(args):
+@_file_command("apply", "map", "state")
+def cmd_apply(args, payload, gmap, state):
     try:
-        _check_tol(args.tol)
-        gmap = load_map(args.map)
-        mean, cov = load_state_arrays(args.state)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        out_mean, out_cov = apply_map_moments(gmap, *state)
+    except ValueError as exc:  # the state has another number of modes
         return _fail(f"apply: {exc}")
-    if mean.size != 2 * gmap.n:
-        return _fail(
-            f"apply: dimension mismatch (map has n = {gmap.n}, state has n = {mean.size // 2})"
-        )
-    out_mean, out_cov = apply_map_moments(gmap, mean, cov)
     valid = is_valid_covariance(out_cov, tol=args.tol)
     print("output mean:", " ".join(_fmt(v) for v in out_mean))
     print("output cov:")
     for row in out_cov:
         print("  " + " ".join(_fmt(v) for v in row))
     print("valid" if valid else "invalid output covariance")
-    payload = {
-        "command": "apply",
-        "input_map": args.map,
-        "input_state": args.state,
-        "version": __version__,
-        "tol": args.tol,
-        "output_mean": out_mean.tolist(),
-        "output_cov": out_cov.tolist(),
-        "valid": bool(valid),
-    }
-    return _finish(args, payload, EXIT_OK if valid else EXIT_INVALID)
+    payload.update(output_mean=out_mean.tolist(), output_cov=out_cov.tolist(), valid=bool(valid))
+    return EXIT_OK if valid else EXIT_INVALID
 
 
 def cmd_probe(args):
@@ -275,20 +229,10 @@ def cmd_limit_check(args):
     return EXIT_OK
 
 
-def _files(*names):
-    """add_arguments of a command that reads the named JSON files."""
-    def add_arguments(parser):
-        for name in names:
-            parser.add_argument(name, help=f"{name} JSON file")
-        parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance, a finite number >= 0")
-        parser.add_argument("--report", help="write a JSON report to this path")
-    return add_arguments
-
-
 def _probe_args(parser):
     parser.add_argument("--weights", required=True, help="comma-separated mixture weights c_0,c_1,...")
     parser.add_argument("--lambda", dest="lam", type=float, required=True, help="dilatation parameter")
-    parser.add_argument("--epsilon", type=float, default=1e-12, help="truncation precision")
+    parser.add_argument("--epsilon", type=float, default=DEFAULT_EPS, help="truncation precision")
     parser.add_argument("--csv", help="write the output coefficients to this CSV path")
 
 

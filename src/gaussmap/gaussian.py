@@ -116,8 +116,6 @@ def apply_map(gmap, state):
         (K x + y0, K sigma K.T + alpha). The caller decides whether the
         result is physical, e.g. via is_valid_covariance.
     """
-    if gmap.n != state.n:
-        raise ValueError(f"map acts on {gmap.n} modes, state has {state.n}")
     return apply_map_moments(gmap, state.mean, state.cov)
 
 
@@ -128,8 +126,14 @@ def apply_map_moments(gmap, mean, cov):
     are not a physical state (a subvacuum cov, say) go through as well.
     The covariance is returned as 0.5 (C + C.T): rounding leaves the
     product C = K sigma K.T + alpha off symmetric in the last bits, and a
-    symmetry check at tol = 0 would reject it.
+    symmetry check at tol = 0 would reject it. Moments of another size
+    raise ValueError("dimension mismatch (map has n = ..., state has n = ...)").
     """
+    d = 2 * gmap.n
+    if np.shape(mean) != (d,) or np.shape(cov) != (d, d):
+        raise ValueError(
+            f"dimension mismatch (map has n = {gmap.n}, state has n = {np.size(mean) // 2})"
+        )
     cov_out = gmap.K @ cov @ gmap.K.T + gmap.alpha
     return gmap.K @ mean + gmap.y0, 0.5 * (cov_out + cov_out.T)
 

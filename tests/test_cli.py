@@ -330,8 +330,9 @@ def test_apply_contraction_yields_invalid_output(fixtures, capsys):
     assert "invalid output covariance" in capsys.readouterr().out
 
 
-def test_apply_dimension_mismatch(fixtures):
+def test_apply_dimension_mismatch(fixtures, capsys):
     assert main(["apply", fixtures["dil2.json"], fixtures["vac2.json"]]) == 1
+    assert capsys.readouterr().err == "apply: dimension mismatch (map has n = 1, state has n = 2)\n"
 
 
 def test_apply_accepts_invalid_input_state(fixtures):
@@ -498,6 +499,53 @@ def test_tol_that_is_not_finite_and_nonnegative_fails_with_one_line(tmp_path, ca
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"{command}: --tol must be a finite number >= 0, got ")
+
+
+_HEADERS = {
+    "validate": (["vacuum.json"], {"input": "vacuum.json"}),
+    "classify": (["dil2.json"], {"input": "dil2.json"}),
+    "decompose": (["dil2.json"], {"input": "dil2.json"}),
+    "apply": (["dil2.json", "vacuum.json"], {"input_map": "dil2.json", "input_state": "vacuum.json"}),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "decompose", "apply"])
+def test_file_command_report_header(fixtures, tmp_path, command):
+    """Every file command's report starts with the same header: the command,
+    the input file or files, the version and the tolerance."""
+    names, inputs = _HEADERS[command]
+    r = tmp_path / "r.json"
+    assert main([command, *(fixtures[n] for n in names), "--tol", "1e-7", "--report", str(r)]) == 0
+    doc = json.loads(r.read_text())
+    assert doc["command"] == command
+    assert {key: doc[key] for key in inputs} == {key: fixtures[n] for key, n in inputs.items()}
+    assert (doc["version"], doc["tol"]) == (gaussmap.__version__, 1e-7)
+    other = {"input", "input_map", "input_state"} - set(inputs)
+    assert not other & set(doc)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "vacuum.json", "--tol", "-1"],
+        ["classify", "dil2.json", "--tol", "nan"],
+        ["decompose", "missing.json"],
+        ["validate", "missing.json"],
+        ["classify", "broken.json"],
+        ["apply", "dil2.json", "broken.json"],
+        ["apply", "dil2.json", "vac2.json"],
+    ],
+)
+def test_exit_1_writes_no_report(fixtures, tmp_path, capsys, argv):
+    """A run that ends with exit 1 (bad --tol, missing or malformed file,
+    dimension mismatch) prints one line to stderr and writes no report."""
+    argv = [fixtures.get(a, os.path.join(fixtures["dir"], a)) if a.endswith(".json") else a for a in argv]
+    r = tmp_path / "r.json"
+    assert main([*argv, "--report", str(r)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"{argv[0]}: ")
+    assert not r.exists()
 
 
 def test_zero_tol_is_allowed(fixtures, capsys):

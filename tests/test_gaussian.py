@@ -14,6 +14,7 @@ from gaussmap import (
     transposition_matrix,
     wigner_function,
 )
+from gaussmap.gaussian import apply_map_moments
 from helpers import random_symplectic, random_valid_cov
 
 
@@ -104,6 +105,18 @@ def test_apply_map_identity_fixed_point():
     mean, cov = apply_map(ident, state)
     assert np.allclose(mean, state.mean)
     assert np.allclose(cov, state.cov)
+
+
+def test_apply_map_dimension_mismatch_names_both_mode_counts():
+    """apply_map and apply_map_moments share one rule: the moments must be
+    of the map's size, else one ValueError gives both mode counts."""
+    message = r"^dimension mismatch \(map has n = 1, state has n = 2\)$"
+    with pytest.raises(ValueError, match=message):
+        apply_map(dilatation(2.0, 1), vacuum(2))
+    with pytest.raises(ValueError, match=message):
+        apply_map_moments(dilatation(2.0, 1), np.zeros(4), np.eye(4))
+    with pytest.raises(ValueError, match=r"^dimension mismatch "):
+        apply_map_moments(dilatation(2.0, 2), np.zeros(4), np.eye(2))
 
 
 def test_apply_map_char_identity_passthrough():
