@@ -115,8 +115,11 @@ def direction_margin(gmap, w):
     )
 
 
-# Largest width of the final bracket of solve_h; _max_h_witness combines the
-# bottom eigenvectors at its two ends, so its objective is off by O(width**2).
+# Largest width of the final bracket of solve_h. The rule pins c_star, which the
+# report prints and decompose falls back to: on a flat maximum the upper bound
+# meets the best value while the bracket is still wide, and without the rule
+# c_star moves by a few 1e-6. _max_h_witness combines the bottom eigenvectors at
+# the two ends of the bracket, so its objective is off by O(width**2).
 _WITNESS_STEP = 1e-6
 
 
@@ -186,8 +189,9 @@ def solve_h(gmap):
     return _solve_h(A, G, _scale(sizes))[0]
 
 
-def _solve_h(A, G, scale):
-    """solve_h on the forms of _h_forms.
+def _solve_h(A, G, scale, at_one=None):
+    """solve_h on the forms of _h_forms; at_one, when the caller has made
+    it (classify's CP test does), is eigh(A - G) and serves as the cut at c = 1.
 
     Returns:
         (HSolution, (v_lo, v_hi), ends): v_lo and v_hi are the bottom
@@ -199,12 +203,12 @@ def _solve_h(A, G, scale):
     floor = 1e-13 * scale
     cuts = []
 
-    def cut(c):
-        w, v = np.linalg.eigh(A - c * G)
+    def cut(c, eig=None):
+        w, v = np.linalg.eigh(A - c * G) if eig is None else eig
         cuts.append((c, float(w[0]), -float(np.vdot(v[:, 0], G @ v[:, 0]).real), v[:, 0]))
         return cuts[-1]
 
-    lo, hi = cut(-1.0), cut(1.0)
+    lo, hi = cut(-1.0), cut(1.0, at_one)
     best = max(lo, hi, key=lambda p: p[1])
     while True:
         (a, h_a, g_a, _), (b, h_b, g_b, _) = lo, hi
@@ -289,9 +293,10 @@ def is_classical_g2g(gmap, tol=DEFAULT_TOL):
 def is_g2g(gmap, tol=DEFAULT_TOL):
     """Decide whether the map sends all Gaussian states to Gaussian states.
 
-    The verdict of classify, on any number of modes: h_max >= 0 (see
-    solve_h) unless complete positivity or a negative eigenvalue of alpha
-    decides first, with the allowances of classify.
+    The verdict of classify, on any number of modes, and not the bare
+    test h_max >= 0 of solve_h: the map is G2G if it is completely
+    positive, not G2G if alpha has an eigenvalue below -tol * _tol_scale,
+    and otherwise G2G exactly when h_max >= -tol * _scale(sizes, c_star).
 
     Returns:
         True or False.
@@ -309,9 +314,10 @@ def classify(gmap, tol=DEFAULT_TOL):
     from the size of A - c_star G, and a False verdict takes its witness
     from _max_h_witness. For one mode D_K = det K D, so this reproduces
     the determinant test alpha >= 0 and sqrt(det alpha) >= 1 - |det K|. The
-    forms of h are built once and shared by every step. A False verdict
-    carries a violating direction, and a verdict from solve_h carries its
-    certificate (see ClassificationReport).
+    forms of h are built once and shared by every step, and the eigh of
+    A - G that tests complete positivity is the solve's cut at c = 1. A
+    False verdict carries a violating direction, and a verdict from
+    solve_h carries its certificate (see ClassificationReport).
     """
     A, G, sizes = _h_forms(gmap)
     report, _, bracket = _classify(gmap, A, G, sizes, tol)
@@ -336,7 +342,8 @@ def _classify(gmap, A, G, sizes, tol):
     """
     atol = tol * _scale(sizes)
     w_a, v_a = np.linalg.eigh(gmap.alpha)
-    h_one = float(np.linalg.eigvalsh(A - G)[0])
+    at_one = np.linalg.eigh(A - G)
+    h_one = float(at_one[0][0])
     cp = h_one >= -atol
     report = partial(ClassificationReport, is_cp=cp, is_classical_g2g=bool(w_a[0] >= -atol))
     if cp:
@@ -349,7 +356,7 @@ def _classify(gmap, A, G, sizes, tol):
             margin=a_min,
             method="negative_alpha",
         ), None, None
-    solution, bracket, ends = _solve_h(A, G, _scale(sizes))
+    solution, bracket, ends = _solve_h(A, G, _scale(sizes), at_one)
     if solution.h_max >= -tol * _scale(sizes, solution.c_star):
         ends = ends or ((solution.c_star, solution.h_max),) * 2
         return report(is_g2g=True, margin=max(solution.h_max, 0.0), **vars(solution)), ends, None

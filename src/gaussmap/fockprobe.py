@@ -81,7 +81,7 @@ _MAX_TAIL_N = 10**7
 
 
 def _tail_cutoff(m, tau, eps, k_start=None):
-    """Smallest N = m + k, k > k_lo, with the analytic tail bound below eps.
+    """Smallest N = m + k, k > k_lo, with the analytic tail bound below eps; 0 < |tau| < 1.
 
     The bound falls in k above k_lo, so every bracket search finds the
     same k. This one starts at max(k_start or 8, k_lo + 1), gallops to a
@@ -100,8 +100,6 @@ def _tail_cutoff(m, tau, eps, k_start=None):
         above it is refused before a row is allocated.
     """
     t = abs(tau)
-    if t == 0.0:
-        return m, 0.0
     target = math.log(eps)
     k_max = _MAX_TAIL_N - m
 
@@ -558,7 +556,10 @@ def probe_fock_mixture(weights, lam, eps=DEFAULT_EPS):
     tail plus the rounding allowances, so float noise, truncated mass or
     the FFT's aliasing can never certify. The q_n come from one
     long-double FFT of sum_m c_m g_m on the unit circle (see
-    `_fft_coefficients`), with no coefficient table.
+    `_fft_coefficients`), with no coefficient table. They run to the
+    cutoff N of the top index M, the only cutoff searched; the analytic
+    part of tail_bound is sum_m c_m times the tail bound of g_m at that
+    same N, where each row with m < M is past its own cutoff.
 
     Args:
         weights: probability weights c_0 .. c_M over Fock states.
@@ -588,16 +589,16 @@ def probe_fock_mixture(weights, lam, eps=DEFAULT_EPS):
 
     m_top = c.size - 1
     tau = _tau_of(lam)
-    # Zero weights add nothing to the tail. The cutoff grows with m, so
-    # the output runs to the cutoff of m_top even when c[m_top] is zero.
-    support = [int(m) for m in np.flatnonzero(c)]
-    ms = sorted({*support, m_top})
-    cuts = dict(zip(ms, _sweep_cutoffs(ms, tau, eps)))
-    n_global = max(n for n, _ in cuts.values())
+    # The cutoff grows with m, so that of m_top is the only one searched and
+    # every row is cut there, even when c[m_top] is zero. Each weight's tail
+    # is bounded at that N: n_global - m >= k(m_top) keeps rho below 1, and
+    # the bound is at most the one at the row's own cutoff. Zero weights add
+    # nothing.
+    n_global = _tail_cutoff(m_top, tau, eps)[0]
     q_long, rounding = _fft_coefficients(c, tau, n_global)
     q = np.asarray(q_long, dtype=float)
-    combined_tail = float(sum(c[m] * cuts[m][1] for m in support))
-    combined_tail += rounding + _representation_allowance(q)
+    tails = (c[m] * math.exp(_log_tail(m, tau, n_global - m)) for m in np.flatnonzero(c).tolist())
+    combined_tail = float(sum(tails)) + (rounding + _representation_allowance(q))
 
     negative = np.nonzero(q < -combined_tail)[0]
     verdict = CERTIFIED if negative.size else NO_NEGATIVITY

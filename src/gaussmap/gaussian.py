@@ -127,13 +127,19 @@ def apply_map_moments(gmap, mean, cov):
     The covariance is returned as 0.5 (C + C.T): rounding leaves the
     product C = K sigma K.T + alpha off symmetric in the last bits, and a
     symmetry check at tol = 0 would reject it. Moments of another size
-    raise ValueError("dimension mismatch (map has n = ..., state has n = ...)").
+    raise ValueError("dimension mismatch (map has n = ..., state has ...)"),
+    where the state has "n = ..." when its mean and cov agree on a mode
+    count, and "mean of shape ... and cov of shape ..." when they do not.
     """
     d = 2 * gmap.n
-    if np.shape(mean) != (d,) or np.shape(cov) != (d, d):
-        raise ValueError(
-            f"dimension mismatch (map has n = {gmap.n}, state has n = {np.size(mean) // 2})"
-        )
+    shapes = np.shape(mean), np.shape(cov)
+    if shapes != ((d,), (d, d)):
+        k = np.size(mean)
+        if k % 2 == 0 and shapes == ((k,), (k, k)):
+            state = f"n = {k // 2}"
+        else:
+            state = f"mean of shape {shapes[0]} and cov of shape {shapes[1]}"
+        raise ValueError(f"dimension mismatch (map has n = {gmap.n}, state has {state})")
     cov_out = gmap.K @ cov @ gmap.K.T + gmap.alpha
     return gmap.K @ mean + gmap.y0, 0.5 * (cov_out + cov_out.T)
 

@@ -524,8 +524,9 @@ def test_classify_computes_delta_K_once_per_decision(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_not_g2g_classify_eigensolves_beyond_solve(n, monkeypatch):
-    """A False verdict of solve_h costs two eigensolves beyond the solve:
-    the CP exit and alpha. The witness reuses the bracket's eigenvectors."""
+    """A False verdict of solve_h costs one eigensolve beyond the solve, of
+    alpha: the CP exit's eigh of A - G is the solve's cut at c = 1, and the
+    witness reuses the bracket's eigenvectors."""
     count = count_eigensolves(monkeypatch)
     rng = np.random.default_rng(40 + n)
     seen = 0
@@ -534,6 +535,6 @@ def test_not_g2g_classify_eigensolves_beyond_solve(n, monkeypatch):
         report = classify(gmap)
         if report.method != "concave_h_maximum" or report.is_g2g:
             continue
-        assert count[0] - before == report.eigensolves + 2
+        assert count[0] - before == report.eigensolves + 1
         seen += 1
     assert seen >= 5

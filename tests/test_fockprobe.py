@@ -2,6 +2,7 @@ import math
 import operator
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -675,6 +676,63 @@ def test_rows_and_sweeps_reject_nonfinite_arguments(bad):
             call(5, bad)
         with pytest.raises(ValueError, match="eps must be finite"):
             call(5, 2.0, bad)
+
+
+def _exact_mixture_coefficient(weights, tau, n):
+    """q_n = sum_m c_m p_n^(m) in rational arithmetic, weights a dict m -> c_m.
+
+    (z - tau)^m (1 - tau z)^(-(m+1)) expands to p_n^(m) =
+    (1 - tau) sum_j C(m, j) (-tau)^(m-j) C(m + n - j, m) tau^(n-j).
+    """
+    return sum(
+        c * (1 - tau) * sum(
+            math.comb(m, j) * (-tau) ** (m - j) * math.comb(m + n - j, m) * tau ** (n - j)
+            for j in range(min(m, n) + 1)
+        )
+        for m, c in weights.items()
+    )
+
+
+def test_probe_bounds_every_tail_at_the_shared_cutoff():
+    """Every weight's series is cut at the cutoff of the top index, so the
+    probe bounds its tail there, not at the weight's own, smaller cutoff.
+    At lam = 3/2 (tau = 5/13) the mixture 0.9 |37><37| + 0.1 |77><77| has
+    q_2 = -7.86e-13 in exact arithmetic. The bound at the shared cutoff
+    certifies that index; the tails at the weights' own cutoffs alone add
+    up to 9.4e-13, more than |q_2|, and could not."""
+    weights = np.zeros(78)
+    weights[37], weights[77] = 0.9, 0.1
+    result = probe_fock_mixture(weights, 1.5)
+    exact = float(_exact_mixture_coefficient({37: Fraction(9, 10), 77: Fraction(1, 10)}, Fraction(5, 13), 2))
+    assert exact < -result.tail_bound
+    assert abs(result.coefficients[2] - exact) <= result.tail_bound
+    assert 2 in result.negative_indices
+    tau = _tau_of(1.5)
+    own_cutoff_tails = 0.9 * _tail_cutoff(37, tau, 1e-12)[1] + 0.1 * _tail_cutoff(77, tau, 1e-12)[1]
+    assert exact > -own_cutoff_tails
+
+
+@pytest.mark.parametrize("support", [1, 2, 40, 501])
+def test_probe_searches_one_cutoff_whatever_its_support(support, monkeypatch):
+    """A probe runs _tail_cutoff twice: once for the cutoff of its top index
+    and once in _fft_length for the FFT length, however many weights are
+    nonzero."""
+    import gaussmap.fockprobe as fockprobe
+
+    calls = []
+    original = fockprobe._tail_cutoff
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fockprobe, "_tail_cutoff", counted)
+    weights = np.zeros(501)
+    weights[np.linspace(500, 0, support, dtype=int)] = 1.0
+    result = probe_fock_mixture(weights / math.fsum(weights), 2.0)
+    assert np.count_nonzero(weights) == support
+    assert calls == [500, 500]
+    assert result.coefficients.size == _tail_cutoff(500, _tau_of(2.0), 1e-12)[0] + 1
 
 
 def test_probe_requires_strict_dilatation():

@@ -115,8 +115,21 @@ def test_apply_map_dimension_mismatch_names_both_mode_counts():
         apply_map(dilatation(2.0, 1), vacuum(2))
     with pytest.raises(ValueError, match=message):
         apply_map_moments(dilatation(2.0, 1), np.zeros(4), np.eye(4))
-    with pytest.raises(ValueError, match=r"^dimension mismatch "):
+
+
+def test_apply_map_moments_names_mean_and_cov_shapes_when_they_disagree():
+    """A mean and a cov of different sizes have no one mode count, so the
+    message gives both shapes; it never claims the map's own n for them."""
+    with pytest.raises(ValueError) as raised:
         apply_map_moments(dilatation(2.0, 2), np.zeros(4), np.eye(2))
+    assert str(raised.value) == (
+        "dimension mismatch (map has n = 2, state has mean of shape (4,) and cov of shape (2, 2))"
+    )
+    with pytest.raises(ValueError) as raised:
+        apply_map_moments(dilatation(2.0, 1), np.zeros(3), np.eye(3))
+    assert str(raised.value) == (
+        "dimension mismatch (map has n = 1, state has mean of shape (3,) and cov of shape (3, 3))"
+    )
 
 
 def test_apply_map_char_identity_passthrough():
