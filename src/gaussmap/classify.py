@@ -370,8 +370,8 @@ def rescale_domain(gmap, mu):
     covariances with all symplectic eigenvalues >= mu**2 exactly when
     the rescaled map is Gaussian-to-Gaussian on every state.
     """
-    if mu <= 0:
-        raise ValueError(f"scale must be positive, got {mu}")
+    if not 0 < mu < math.inf:  # an infinite mu would turn the zeros of K into NaN
+        raise ValueError(f"scale must be positive and finite, got {mu}")
     return GaussianMap(K=float(mu) * gmap.K, alpha=gmap.alpha.copy(), y0=gmap.y0.copy())
 
 

@@ -4,37 +4,38 @@ A map is the triple (K, alpha, y0) acting on moments as
 x -> K x + y0 and sigma -> K sigma K.T + alpha, and on characteristic
 functions as chi(k) -> chi(K.T k) * exp(-k.T alpha k / 4 + 1j k.T y0).
 Maps are stored raw, with no validity assumption: classification is a
-query, and representing invalid candidates is the whole point.
+query, and representing invalid candidates is the whole point. So a
+map, a state or a quadrature vector k or r need only be well formed:
+finite entries and matching shapes, else a ValueError names the argument
+("K has shape (3, 3), expected ...", "y0 has a NaN or infinite entry").
+apply_map_moments takes raw moments and checks only their sizes.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import DEFAULT_TOL, _check_symmetric, is_valid_covariance
+from .symplectic import (
+    DEFAULT_TOL, _array, _check_symmetric, _mode_count, _square, is_valid_covariance)
 
 
 @dataclass
 class GaussianState:
     """An n-mode Gaussian state given by its mean and covariance matrix.
 
-    The covariance matrix is validated at construction: it must be a
-    physical quantum covariance (all symplectic eigenvalues >= 1).
+    cov must be a 2n x 2n matrix and mean hold 2n entries, all finite,
+    else ValueError names the argument. The covariance matrix must also be
+    a physical quantum covariance (all symplectic eigenvalues >= 1).
     """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        self.cov = np.asarray(self.cov, dtype=float)
-        d = self.mean.shape[0]
-        if d == 0 or d % 2 != 0:
-            raise ValueError(f"mean length must be a positive even number, got {d}")
-        if self.cov.shape != (d, d):
-            raise ValueError(
-                f"covariance shape {self.cov.shape} does not match mean length {d}"
-            )
+        cov = _square(self.cov, "cov")
+        d = cov.shape[0]
+        self.cov = _array(cov, (d, d), "cov")
+        self.mean = _array(np.ravel(self.mean), (d,), "mean")
         if not is_valid_covariance(self.cov):
             raise ValueError("covariance matrix is not a valid quantum covariance")
 
@@ -45,29 +46,24 @@ class GaussianState:
 
 @dataclass
 class GaussianMap:
-    """A candidate phase-space map (K, alpha, y0) on n modes."""
+    """A candidate phase-space map (K, alpha, y0) on n modes.
+
+    K and alpha must be 2n x 2n, y0 (zero when omitted) must hold 2n
+    entries, all finite, and alpha must be symmetric within DEFAULT_TOL;
+    else ValueError names the argument. Nothing else is assumed.
+    """
 
     K: np.ndarray
     alpha: np.ndarray
     y0: np.ndarray = None
 
     def __post_init__(self):
-        self.K = np.asarray(self.K, dtype=float)
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        d = self.K.shape[0]
-        if self.K.ndim != 2 or self.K.shape != (d, d) or d == 0 or d % 2 != 0:
-            raise ValueError(f"K must be square with even dimension, got {self.K.shape}")
-        if self.alpha.shape != (d, d):
-            raise ValueError(
-                f"alpha shape {self.alpha.shape} does not match K shape {self.K.shape}"
-            )
-        self.alpha = _check_symmetric(self.alpha, DEFAULT_TOL, name="alpha")
-        if self.y0 is None:
-            self.y0 = np.zeros(d)
-        else:
-            self.y0 = np.asarray(self.y0, dtype=float).reshape(-1)
-            if self.y0.shape != (d,):
-                raise ValueError(f"y0 length {self.y0.shape[0]} does not match {d}")
+        K = _square(self.K, "K")
+        d = K.shape[0]
+        self.K = _array(K, (d, d), "K")
+        alpha = _array(self.alpha, (d, d), "alpha")
+        self.alpha = _check_symmetric(alpha, DEFAULT_TOL, name="alpha")
+        self.y0 = np.zeros(d) if self.y0 is None else _array(np.ravel(self.y0), (d,), "y0")
 
     @property
     def n(self):
@@ -76,11 +72,7 @@ class GaussianMap:
 
 def char_function(state, k):
     """Characteristic function exp(-k.T sigma k / 4 + 1j k.T x) at k."""
-    k = np.asarray(k, dtype=float).reshape(-1)
-    if k.shape[0] != state.mean.shape[0]:
-        raise ValueError(
-            f"k has length {k.shape[0]}, state lives on {state.mean.shape[0]} quadratures"
-        )
+    k = _array(np.ravel(k), state.mean.shape, "k")
     return np.exp(-0.25 * k @ state.cov @ k + 1j * (k @ state.mean))
 
 
@@ -92,11 +84,7 @@ def wigner_function(state, r):
     Raises:
         ValueError: if the covariance matrix is singular.
     """
-    r = np.asarray(r, dtype=float).reshape(-1)
-    if r.shape[0] != state.mean.shape[0]:
-        raise ValueError(
-            f"r has length {r.shape[0]}, state lives on {state.mean.shape[0]} quadratures"
-        )
+    r = _array(np.ravel(r), state.mean.shape, "r")
     sign, logdet = np.linalg.slogdet(np.pi * state.cov)
     if sign <= 0:
         raise ValueError("covariance matrix is singular or not positive definite")
@@ -150,11 +138,7 @@ def apply_map_char(gmap, chi_in, k):
     chi_in is a callable k -> complex. Returns
     chi_in(K.T k) * exp(-k.T alpha k / 4 + 1j k.T y0).
     """
-    k = np.asarray(k, dtype=float).reshape(-1)
-    if k.shape[0] != gmap.K.shape[0]:
-        raise ValueError(
-            f"k has length {k.shape[0]}, map acts on {gmap.K.shape[0]} quadratures"
-        )
+    k = _array(np.ravel(k), (2 * gmap.n,), "k")
     return chi_in(gmap.K.T @ k) * np.exp(-0.25 * k @ gmap.alpha @ k + 1j * (k @ gmap.y0))
 
 
@@ -178,9 +162,7 @@ def dilatation(lam, n):
     """
     if lam == 0:
         raise ValueError("dilatation parameter must be nonzero")
-    if int(n) != n or n < 1:
-        raise ValueError(f"mode count must be a positive integer, got {n!r}")
-    d = 2 * int(n)
+    d = 2 * _mode_count(n)
     return GaussianMap(K=float(lam) * np.eye(d), alpha=np.zeros((d, d)))
 
 
@@ -195,9 +177,7 @@ def transposition(n, modes=None):
     Raises:
         ValueError: if a mode index is out of range.
     """
-    if int(n) != n or n < 1:
-        raise ValueError(f"mode count must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _mode_count(n)
     if modes is None:
         chosen = set(range(1, n + 1))
     else:

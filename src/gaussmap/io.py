@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .gaussian import GaussianMap
-from .symplectic import DEFAULT_TOL, _check_symmetric
+from .symplectic import DEFAULT_TOL, _array, _check_symmetric
 
 FORMAT_VERSION = 1
 
@@ -32,13 +32,7 @@ def _as_array(doc, key, shape, path):
         arr = np.asarray(doc[key], dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{path}: field {key!r} is not a numeric array")
-    if arr.shape != shape:
-        raise ValueError(
-            f"{path}: field {key!r} has shape {arr.shape}, expected {shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{path}: field {key!r} has a NaN or infinite entry")
-    return arr
+    return _array(arr, shape, f"{path}: field {key!r}")
 
 
 def _load_doc(path):

@@ -11,6 +11,40 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
+def _mode_count(n):
+    """n as an int, or ValueError unless it is a positive integer."""
+    if int(n) != n or n < 1:
+        raise ValueError(f"mode count must be a positive integer, got {n!r}")
+    return int(n)
+
+
+def _array(value, shape, name):
+    """value as a float array of exactly this shape, every entry finite.
+
+    Raises:
+        ValueError: "{name} has shape S, expected T", or "{name} has a NaN
+            or infinite entry".
+    """
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has a NaN or infinite entry")
+    return arr
+
+
+def _square(value, name):
+    """value as a float square matrix of nonzero, even dimension; its
+    entries may be anything."""
+    arr = np.asarray(value, dtype=float)
+    d = arr.shape[0] if arr.ndim else 0
+    if arr.shape != (d, d) or d == 0 or d % 2 != 0:
+        raise ValueError(
+            f"{name} has shape {arr.shape}, expected a square matrix of nonzero even dimension"
+        )
+    return arr
+
+
 def standard_form(n):
     """Return the canonical antisymmetric form for n modes.
 
@@ -23,9 +57,7 @@ def standard_form(n):
     Raises:
         ValueError: if n is not a positive integer.
     """
-    if int(n) != n or n < 1:
-        raise ValueError(f"mode count must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _mode_count(n)
     delta = np.zeros((2 * n, 2 * n))
     for i in range(n):
         delta[2 * i, 2 * i + 1] = 1.0
@@ -38,21 +70,13 @@ def is_symplectic(S, tol=DEFAULT_TOL):
 
     The comparison uses the max-abs-entry norm, relative to ||delta|| = 1.
     """
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {S.shape}")
-    if S.shape[0] % 2 != 0:
-        raise ValueError(f"matrix dimension must be even, got {S.shape[0]}")
+    S = _square(S, "S")
     delta = standard_form(S.shape[0] // 2)
     return bool(np.max(np.abs(S @ delta @ S.T - delta)) <= tol)
 
 
 def _check_symmetric(sigma, tol, name="sigma"):
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {sigma.shape}")
-    if sigma.shape[0] % 2 != 0:
-        raise ValueError(f"{name} dimension must be even, got {sigma.shape[0]}")
+    sigma = _square(sigma, name)
     scale = max(1.0, float(np.max(np.abs(sigma))))
     if np.max(np.abs(sigma - sigma.T)) > tol * scale:
         raise ValueError(f"{name} must be symmetric within tolerance {tol}")

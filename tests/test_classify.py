@@ -309,6 +309,25 @@ def test_counterexamples_reject_nonpositive_parameter():
         q_exchange_example(-1.0)
 
 
+def test_nan_map_gets_no_verdict():
+    """A NaN in K is refused where the map is built, so no verdict (and no
+    NaN witness) is ever given for it."""
+    nan_K = [[float("nan"), 0.0], [0.0, 1.0]]
+    for call in (classify, is_g2g, decompose):
+        with pytest.raises(ValueError, match="^K has a NaN or infinite entry$"):
+            call(GaussianMap(K=nan_K, alpha=np.eye(2)))
+
+
+def test_rescale_domain_and_examples_refuse_non_finite_parameters():
+    with pytest.raises(ValueError, match="^scale must be positive and finite, got inf$"):
+        rescale_domain(dilatation(2.0, 1), float("inf"))
+    with pytest.raises(ValueError, match="^scale must be positive and finite, got nan$"):
+        rescale_domain(dilatation(2.0, 1), float("nan"))
+    for example in (partial_transpose_example, q_exchange_example):
+        with pytest.raises(ValueError, match="^K has a NaN or infinite entry$"):
+            example(float("nan"))
+
+
 def test_classify_counterexamples_g2g_not_cp():
     for make in (partial_transpose_example, q_exchange_example):
         for nu in (0.5, 1.0, 3.0):

@@ -658,6 +658,50 @@ def test_state_file_non_finite_is_schema_error(fixtures, tmp_path, capsys, field
     assert capsys.readouterr().err.count(f"field '{field}' has a NaN or infinite entry") == 2
 
 
+_ONE_MODE_MAP = {"n": 1, "K": [[2.0, 0.0], [0.0, 2.0]], "alpha": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": 1, "K": [[1, 0], [0, 1]]}, "missing field 'alpha'"),
+        ({**_ONE_MODE_MAP, "K": [["a", 0], [0, 1]]}, "field 'K' is not a numeric array"),
+        ({**_ONE_MODE_MAP, "y0": [[1, 2], [3]]}, "field 'y0' is not a numeric array"),
+        ([1, 2], "top level must be a JSON object"),
+        ({**_ONE_MODE_MAP, "n": 0}, "field 'n' must be a positive integer"),
+        ({**_ONE_MODE_MAP, "n": True}, "field 'n' must be a positive integer"),
+        ({**_ONE_MODE_MAP, "n": "1"}, "field 'n' must be a positive integer"),
+        ({**_ONE_MODE_MAP, "n": 2}, "field 'K' has shape (2, 2), expected (4, 4)"),
+        ({**_ONE_MODE_MAP, "alpha": [[1.0, 0.5], [0.0, 1.0]]}, "alpha must be symmetric within tolerance 1e-09"),
+    ],
+)
+@pytest.mark.parametrize("command", ["classify", "decompose"])
+def test_malformed_map_file_fails_with_one_line(tmp_path, capsys, doc, message, command):
+    """Each schema error of a map file is exit 1 and one stderr line that
+    names the file; an asymmetric alpha is reported by GaussianMap itself."""
+    p = tmp_path / "map.json"
+    p.write_text(json.dumps(doc))
+    assert main([command, str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{command}: {p}: {message}\n"
+
+
+@pytest.mark.parametrize("eps", ["0", "-1"])
+def test_probe_nonpositive_epsilon_fails_with_one_line(capsys, eps):
+    assert main(["probe", "--weights", "0,1", "--lambda", "2", "--epsilon", eps]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"probe: precision must be positive, got {float(eps)}\n"
+
+
+def test_limit_check_empty_m_list_fails_with_one_line(capsys):
+    assert main(["limit-check", "--lambda", "2", "--k", "1", "--m-list", ","]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "limit-check: --m-list must contain at least one index\n"
+
+
 def _json_layout(doc):
     """The report and file layout: sorted keys, 2-space indent, trailing newline."""
     buf = io.StringIO()

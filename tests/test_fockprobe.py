@@ -861,3 +861,13 @@ def test_airy_limit_error_rejects_nonfinite_arguments(bad):
         airy_limit_error(bad, 100, 2.0)
     with pytest.raises(ValueError, match="lam"):
         airy_limit_error(1.0, 100, bad)
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+def test_sweep_at_unit_lam_is_exactly_the_identity(lam):
+    """|lam| = 1 gives tau = 0: every row of the sweep is e_m, with no tail."""
+    rows = dilated_fock_sweep(40, lam)
+    assert [r.m for r in rows] == list(range(41))
+    for r in rows:
+        assert np.array_equal(r.coeffs, np.eye(r.m + 1)[r.m])
+        assert r.tail_bound == 0.0

@@ -254,3 +254,75 @@ def test_transposition_matrix_partial():
     # Mode indices are 1-based; transposing only the second mode flips its p.
     t = transposition_matrix(2, modes={2})
     assert np.allclose(t, np.diag([1.0, 1.0, 1.0, -1.0]))
+
+
+_NAN = float("nan")
+_INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"K": 2.0, "alpha": 1.0}, "K has shape (), expected a square matrix of nonzero even dimension"),
+        ({"K": np.eye(3), "alpha": np.eye(3)}, "K has shape (3, 3), expected a square matrix"),
+        ({"K": np.eye(2), "alpha": np.eye(4)}, "alpha has shape (4, 4), expected (2, 2)"),
+        ({"K": np.eye(2), "alpha": np.eye(2), "y0": np.zeros(3)}, "y0 has shape (3,), expected (2,)"),
+        ({"K": [[_NAN, 0], [0, 1]], "alpha": np.eye(2)}, "K has a NaN or infinite entry"),
+        ({"K": np.eye(2), "alpha": [[_INF, 0], [0, 1]]}, "alpha has a NaN or infinite entry"),
+        ({"K": np.eye(2), "alpha": np.eye(2), "y0": [0, -_INF]}, "y0 has a NaN or infinite entry"),
+    ],
+)
+def test_gaussian_map_names_a_malformed_argument(kwargs, message):
+    with pytest.raises(ValueError) as raised:
+        GaussianMap(**kwargs)
+    assert str(raised.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "mean, cov, message",
+    [
+        ([0, _NAN], np.eye(2), "mean has a NaN or infinite entry"),
+        ([0, 0], [[1, 0], [0, _INF]], "cov has a NaN or infinite entry"),
+        (np.zeros(4), np.eye(2), "mean has shape (4,), expected (2,)"),
+        (np.zeros(3), np.eye(3), "cov has shape (3, 3), expected a square matrix"),
+        (np.zeros(2), 0.5 * np.eye(2), "covariance matrix is not a valid quantum covariance"),
+    ],
+)
+def test_gaussian_state_names_a_malformed_argument(mean, cov, message):
+    with pytest.raises(ValueError) as raised:
+        GaussianState(mean=mean, cov=cov)
+    assert str(raised.value).startswith(message)
+
+
+def test_gaussian_state_and_map_flatten_vectors():
+    """A column mean or y0 is read as the vector of its entries."""
+    state = GaussianState(mean=[[0.5], [1.0]], cov=np.eye(2))
+    assert state.mean.shape == (2,)
+    gmap = GaussianMap(K=np.eye(2), alpha=np.zeros((2, 2)), y0=[[1.0], [2.0]])
+    assert np.array_equal(gmap.y0, [1.0, 2.0])
+
+
+def test_dilatation_and_compose_refuse_malformed_maps():
+    with pytest.raises(ValueError, match="^K has a NaN or infinite entry$"):
+        dilatation(_NAN, 1)
+    with pytest.raises(ValueError, match="^mode counts differ: 1 vs 2$"):
+        compose(dilatation(2.0, 1), dilatation(2.0, 2))
+    big = dilatation(1e200, 1)
+    # K K overflows to inf; the map that would carry it is refused.
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^K has a NaN or infinite entry$"):
+        compose(big, big)
+
+
+def test_quadrature_vectors_must_be_finite_and_of_the_state_size():
+    state = vacuum(1)
+    gmap = dilatation(2.0, 1)
+    calls = (
+        ("k", lambda v: char_function(state, v)),
+        ("r", lambda v: wigner_function(state, v)),
+        ("k", lambda v: apply_map_char(gmap, lambda q: char_function(state, q), v)),
+    )
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} has a NaN or infinite entry$"):
+            call([1.0, _NAN])
+        with pytest.raises(ValueError, match=f"^{name} has shape \\(3,\\), expected \\(2,\\)$"):
+            call(np.zeros(3))

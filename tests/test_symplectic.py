@@ -7,6 +7,7 @@ from gaussmap import (
     standard_form,
     symplectic_eigenvalues,
 )
+from gaussmap.symplectic import _array, _check_symmetric, _mode_count, _square
 from helpers import random_spd, random_symplectic, random_valid_cov
 
 
@@ -243,3 +244,57 @@ def test_validity_matches_the_two_pass_code():
             assert _outcome(call, sigma) == _outcome(oracle, sigma)
         count += 1
     assert count >= 2000
+
+
+def test_array_returns_floats_of_the_exact_shape():
+    arr = _array([[1, 2], [3, 4]], (2, 2), "K")
+    assert arr.dtype == float
+    assert np.array_equal(arr, [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("value, shape", [(np.zeros(3), (2,)), (np.zeros((2, 1)), (2,)), (1.0, (2, 2))])
+def test_array_names_a_wrong_shape(value, shape):
+    with pytest.raises(ValueError) as raised:
+        _array(value, shape, "y0")
+    assert str(raised.value) == f"y0 has shape {np.shape(value)}, expected {shape}"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_array_names_a_non_finite_entry(bad):
+    with pytest.raises(ValueError) as raised:
+        _array([0.0, bad], (2,), "k")
+    assert str(raised.value) == "k has a NaN or infinite entry"
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (2, 4), (0, 0), (3, 3), (2, 2, 2)])
+def test_square_names_a_shape_that_is_not_square_even_and_nonzero(shape):
+    with pytest.raises(ValueError) as raised:
+        _square(np.zeros(shape), "K")
+    expected = f"K has shape {shape}, expected a square matrix of nonzero even dimension"
+    assert str(raised.value) == expected
+
+
+def test_square_accepts_any_entries():
+    """Only the shape is checked: the covariance functions stay NaN-tolerant."""
+    sq = _square([[np.nan, 1], [np.inf, 0]], "sigma")
+    assert sq.dtype == float and sq.shape == (2, 2)
+    assert not is_valid_covariance(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_shape_checks_of_symplectic_functions_name_their_argument():
+    for call, name in ((is_symplectic, "S"), (symplectic_eigenvalues, "sigma")):
+        with pytest.raises(ValueError, match=f"^{name} has shape \\(3, 3\\), expected a square"):
+            call(np.eye(3))
+    with pytest.raises(ValueError, match="^alpha has shape"):
+        _check_symmetric(np.eye(2)[0], 1e-9, name="alpha")
+
+
+@pytest.mark.parametrize("n", [0, -1, 1.5])
+def test_mode_count_names_a_bad_count(n):
+    with pytest.raises(ValueError) as raised:
+        _mode_count(n)
+    assert str(raised.value) == f"mode count must be a positive integer, got {n!r}"
+
+
+def test_mode_count_returns_an_int():
+    assert _mode_count(2.0) == 2 and type(_mode_count(2.0)) is int
