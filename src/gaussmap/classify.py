@@ -37,7 +37,7 @@ class HSolution:
     """Certificate of solve_h: h(c_star) = h_max, and no h(c) exceeds h_upper.
 
     interval = (c_lo, c_hi) is the feasible set {c : h(c) >= -floor},
-    floor = 1e-13 * _tol_scale, or None when it is empty; h is at least
+    floor = 1e-13 * _scale(sizes), or None when it is empty; h is at least
     -floor at both ends. eigensolves counts the eigendecompositions made.
     """
 
@@ -58,7 +58,7 @@ class ClassificationReport:
     solve_h carries its certificate (see HSolution), so a True one has
     h(c_star) >= 0 up to tolerance, where h(c) = lambda_min(alpha + i(D - c D_K)).
     The completely positive exit carries c_star = 1; fields an exit did
-    not compute are None. The two exits allow tol * _tol_scale and
+    not compute are None. The two exits allow tol * _scale(sizes) and
     solve_h allows tol * _scale(sizes, c_star), so is_cp implies is_g2g,
     which implies is_classical_g2g.
     """
@@ -140,13 +140,9 @@ def _scale(sizes, c=1.0):
     Forming A - c G and a backward-stable eigh of it round h(c) by a
     small multiple of the unit roundoff times this size (Demmel, Applied
     Numerical Linear Algebra, 1997, ch. 5), so every test of h(c) allows
-    tol times it. _tol_scale is its value at c = 1.
+    tol times it.
     """
     return max(1.0, sizes[0], abs(c) * sizes[1])
-
-
-def _tol_scale(gmap):
-    return _scale(_h_forms(gmap)[2])
 
 
 def solve_h(gmap):
@@ -158,7 +154,7 @@ def solve_h(gmap):
     (Kelley 1960; Overton, SIAM J. Optim. 1992) keep the nearest tangent
     rising on the left of the maximum and the nearest falling on its
     right, and evaluate h where they meet, which bounds max h from above.
-    The solve stops when that bound is within floor = 1e-13 * _tol_scale
+    The solve stops when that bound is within floor = 1e-13 * _scale(sizes)
     of the best value and the bracket between the two tangent points,
     which holds the maximizer, is no wider than _WITNESS_STEP. Near a
     smooth maximum each cut halves the bracket; at a kink (noiseless
@@ -274,20 +270,35 @@ def _max_h_witness(gmap, G, v_l, v_r):
     return min(((w, direction_margin(gmap, w)) for w in candidates), key=lambda p: p[1])
 
 
+def _least_eig_test(matrix, sizes, tol):
+    """(eigh(matrix), passed), passed when its least eigenvalue is >= -tol * _scale(sizes).
+
+    The one test of complete positivity (matrix A - G, see _h_forms) and
+    of classical admissibility (matrix alpha), so is_cp and
+    is_classical_g2g give classify's fields from the same eigendecomposition.
+    """
+    eig = np.linalg.eigh(matrix)
+    return eig, bool(eig[0][0] >= -tol * _scale(sizes))
+
+
 def is_cp(gmap, tol=DEFAULT_TOL):
     """Complete positivity: h(1) >= 0, i.e. alpha + 1j (delta - D_K) >= 0.
 
     The opposite sign follows by conjugation. For one mode this agrees
     with the determinant test sqrt(det alpha) >= |1 - det K| whenever
-    alpha is positive semidefinite.
+    alpha is positive semidefinite. The test of classify, so
+    is_cp(gmap) == classify(gmap).is_cp.
     """
     A, G, sizes = _h_forms(gmap)
-    return bool(np.linalg.eigvalsh(A - G)[0] >= -tol * _scale(sizes))
+    return _least_eig_test(A - G, sizes, tol)[1]
 
 
 def is_classical_g2g(gmap, tol=DEFAULT_TOL):
-    """Classical admissibility: alpha positive semidefinite within tol * _tol_scale."""
-    return bool(np.linalg.eigvalsh(gmap.alpha)[0] >= -tol * _tol_scale(gmap))
+    """Classical admissibility: alpha positive semidefinite within tol * _scale(sizes).
+
+    The test of classify, so is_classical_g2g(gmap) == classify(gmap).is_classical_g2g.
+    """
+    return _least_eig_test(gmap.alpha, _h_forms(gmap)[2], tol)[1]
 
 
 def is_g2g(gmap, tol=DEFAULT_TOL):
@@ -295,7 +306,7 @@ def is_g2g(gmap, tol=DEFAULT_TOL):
 
     The verdict of classify, on any number of modes, and not the bare
     test h_max >= 0 of solve_h: the map is G2G if it is completely
-    positive, not G2G if alpha has an eigenvalue below -tol * _tol_scale,
+    positive, not G2G if alpha has an eigenvalue below -tol * _scale(sizes),
     and otherwise G2G exactly when h_max >= -tol * _scale(sizes, c_star).
 
     Returns:
@@ -307,7 +318,7 @@ def is_g2g(gmap, tol=DEFAULT_TOL):
 def classify(gmap, tol=DEFAULT_TOL):
     """Full classification report for one map, on any number of modes.
 
-    One decision sequence, with atol = tol * _tol_scale: the map is G2G
+    One decision sequence, with atol = tol * _scale(sizes): the map is G2G
     if it is completely positive (h(1) >= -atol); it is not if alpha has
     an eigenvalue below -atol, whose real eigenvector is the witness;
     otherwise solve_h decides by h_max >= -tol * _scale(sizes, c_star),
@@ -340,15 +351,12 @@ def _classify(gmap, A, G, sizes, tol):
         and margin are None, for classify to fill from _max_h_witness;
         otherwise bracket is None.
     """
-    atol = tol * _scale(sizes)
-    w_a, v_a = np.linalg.eigh(gmap.alpha)
-    at_one = np.linalg.eigh(A - G)
-    h_one = float(at_one[0][0])
-    cp = h_one >= -atol
-    report = partial(ClassificationReport, is_cp=cp, is_classical_g2g=bool(w_a[0] >= -atol))
+    (w_a, v_a), classical = _least_eig_test(gmap.alpha, sizes, tol)
+    at_one, cp = _least_eig_test(A - G, sizes, tol)
+    report = partial(ClassificationReport, is_cp=cp, is_classical_g2g=classical)
     if cp:
-        return report(is_g2g=True, method="cp_implies_g2g", c_star=1.0), ((1.0, h_one),) * 2, None
-    if w_a[0] < -atol:
+        return report(is_g2g=True, method="cp_implies_g2g", c_star=1.0), ((1.0, float(at_one[0][0])),) * 2, None
+    if not classical:
         a_min = float(w_a[0])
         return report(
             is_g2g=False,
@@ -384,7 +392,7 @@ def partial_transpose_example(nu):
     """
     if nu <= 0:
         raise ValueError(f"parameter must be positive, got {nu}")
-    K = math.sqrt(nu) * np.diag([1.0, 1.0, 1.0, -1.0])
+    K = np.diag(math.sqrt(nu) * np.array([1.0, 1.0, 1.0, -1.0]))
     return GaussianMap(K=K, alpha=np.eye(4))
 
 
@@ -397,14 +405,11 @@ def q_exchange_example(nu):
     """
     if nu <= 0:
         raise ValueError(f"parameter must be positive, got {nu}")
-    K = math.sqrt(nu) * np.array(
-        [
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, -1.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
+    # sqrt(nu) goes on the nonzero entries only: inf times a zero would be NaN.
+    r = math.sqrt(nu)
+    K = np.zeros((4, 4))
+    K[0, 2] = K[2, 0] = K[3, 3] = r
+    K[1, 1] = -r
     return GaussianMap(K=K, alpha=np.eye(4))
 
 
@@ -494,7 +499,7 @@ def decompose(gmap, tol=DEFAULT_TOL):
     interval of h by _factor_interval, or off (1, 1) for a CP map and
     (c*, c*) when h_max passes the verdict but not the solve's floor; its
     kind is homogeneous for a noiseless map (max |alpha| <= tol *
-    _tol_scale) and homogeneous_factoring otherwise. h at those ends is
+    _scale(sizes)) and homogeneous_factoring otherwise. h at those ends is
     the value classify computed, so decompose makes exactly the
     eigensolves of one classify.
 

@@ -6,9 +6,11 @@ command's arguments; each call builds only its command's parser.
 Human-readable summaries go to standard output, machine-readable
 reports to files (--report / --csv), diagnostics to standard error.
 
-Gaussian-to-Gaussian verdicts are exact on any number of modes: the
-maximum of the concave function h(c) = lambda_min(alpha + i(D - c D_K))
-over c in [-1, 1], found by one cutting-plane solve. When that solve
+Gaussian-to-Gaussian verdicts are exact on any number of modes for
+entries of K up to about 1e7: the maximum of the concave function
+h(c) = lambda_min(alpha + i(D - c D_K)) over c in [-1, 1], found by one
+cutting-plane solve. From about 1e8 up a verdict can be wrong, as the
+cuts at c = +-1 carry rounding of order u max |D_K|. When that solve
 decided the verdict, classify prints the maximum h_max, its argument c*,
 the proven upper bound h_upper, the feasible interval [c_lo, c_hi] of h
 and the number of eigensolves; a report carries them under

@@ -484,10 +484,15 @@ def _representation_allowance(coeffs):
 
 def _fock_coefficients(m_lo, m_hi, lam, eps):
     """FockCoefficients for m_lo .. m_hi from `_rows`; the tail_bound of an
-    inexact row adds the float64 allowance of the stored row."""
+    inexact row adds the float64 allowance of the stored row.
+
+    The one validated path into the rows, for single rows, sweeps and
+    both norm sums. A numpy integer index goes on as a Python int, whose
+    arithmetic (`_smooth_length` takes its bit_length) it needs.
+    """
     _validate(m_hi, eps)
     tau = _tau_of(lam)
-    for m, row, n_cut, bound in _rows(m_lo, m_hi, tau, eps):
+    for m, row, n_cut, bound in _rows(int(m_lo), int(m_hi), tau, eps):
         coeffs = row.astype(float)
         if bound > 0.0:
             bound += _representation_allowance(coeffs)
@@ -529,21 +534,19 @@ def dilated_fock_sweep(m_max, lam, eps=DEFAULT_EPS):
 
 
 def trace_norm_sum(m, lam, eps=DEFAULT_EPS):
-    """Sum of |p_n| up to the truncation cutoff.
+    """Sum of |p_n| up to the truncation cutoff, over the float64 row of
+    dilated_fock_coefficients(m, lam, eps).
 
     Grows without bound in m whenever |lam| != 1; the growth across
     decades of m is the quantitative shadow of that unboundedness.
     """
-    _validate(m, eps)
-    _, row, _, _ = next(_rows(m, m, _tau_of(lam), eps))
-    return float(np.sum(np.abs(row)))
+    return float(np.sum(np.abs(dilated_fock_coefficients(m, lam, eps).coeffs)))
 
 
 def hs_norm_check(m, lam, eps=DEFAULT_EPS):
-    """Sum of p_n^2; equals 1 / lam^2 up to truncation effects."""
-    _validate(m, eps)
-    _, row, _, _ = next(_rows(m, m, _tau_of(lam), eps))
-    return float(np.sum(row * row))
+    """Sum of p_n^2 over the float64 row of dilated_fock_coefficients(m, lam, eps);
+    equals 1 / lam^2 up to truncation effects."""
+    return float(np.sum(np.square(dilated_fock_coefficients(m, lam, eps).coeffs)))
 
 
 def probe_fock_mixture(weights, lam, eps=DEFAULT_EPS):

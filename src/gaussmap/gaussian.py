@@ -163,7 +163,8 @@ def dilatation(lam, n):
     if lam == 0:
         raise ValueError("dilatation parameter must be nonzero")
     d = 2 * _mode_count(n)
-    return GaussianMap(K=float(lam) * np.eye(d), alpha=np.zeros((d, d)))
+    # lam goes on the diagonal only: inf times the zeros of K would be NaN.
+    return GaussianMap(K=np.diag(np.full(d, float(lam))), alpha=np.zeros((d, d)))
 
 
 def transposition(n, modes=None):
@@ -175,15 +176,16 @@ def transposition(n, modes=None):
             all modes; an empty iterable yields the identity map.
 
     Raises:
-        ValueError: if a mode index is out of range.
+        ValueError: if a mode index is not a positive integer (1.5 is
+            refused, not truncated), or is above n.
     """
     n = _mode_count(n)
     if modes is None:
         chosen = set(range(1, n + 1))
     else:
-        chosen = set(int(m) for m in modes)
+        chosen = {_mode_count(m, "mode index") for m in modes}
         for m in chosen:
-            if m < 1 or m > n:
+            if m > n:
                 raise ValueError(f"mode index {m} out of range 1..{n}")
     diag = np.ones(2 * n)
     for m in chosen:

@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .gaussian import GaussianMap
-from .symplectic import DEFAULT_TOL, _array, _check_symmetric
+from .symplectic import DEFAULT_TOL, _array, _check_symmetric, _square
 
 FORMAT_VERSION = 1
 
@@ -120,11 +120,24 @@ def save_map(path, gmap):
 
 
 def save_state(path, mean, cov):
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
+    """Write a state file that load_state_arrays reads back.
+
+    mean and cov are checked by the loader's rules before the file is
+    opened: cov 2n x 2n and symmetric within DEFAULT_TOL, mean of 2n
+    entries, all finite. As for the loader, cov need not be a valid
+    covariance.
+
+    Raises:
+        ValueError: naming the argument ("mean has shape (3,), expected
+            (2,)", "cov must be symmetric within tolerance 1e-09").
+    """
+    d = _square(cov, "cov").shape[0]
+    cov = _array(cov, (d, d), "cov")
+    _check_symmetric(cov, DEFAULT_TOL, name="cov")
+    mean = _array(np.ravel(mean), (d,), "mean")
     doc = {
         "format_version": FORMAT_VERSION,
-        "n": mean.size // 2,
+        "n": d // 2,
         "mean": mean.tolist(),
         "cov": cov.tolist(),
     }

@@ -11,11 +11,18 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
-def _mode_count(n):
-    """n as an int, or ValueError unless it is a positive integer."""
-    if int(n) != n or n < 1:
-        raise ValueError(f"mode count must be a positive integer, got {n!r}")
-    return int(n)
+def _mode_count(n, name="mode count"):
+    """n as an int, or ValueError unless it is a positive integer (2.0 passes).
+
+    Every other value, inf, None and a string included, gets the one
+    message "{name} must be a positive integer, got {n!r}".
+    """
+    try:
+        if int(n) == n and n >= 1:
+            return int(n)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a positive integer, got {n!r}")
 
 
 def _array(value, shape, name):

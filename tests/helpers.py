@@ -125,11 +125,6 @@ def coefficient_rows(m_max, tau, n_max):
     return P
 
 
-def squeezed_cov(eps):
-    """One-mode squeezed covariance diag(eps, 1/eps); physical for any eps > 0."""
-    return np.diag([eps, 1.0 / eps])
-
-
 def random_multimode(rng, n):
     """K = U(-1.5, 1.5) * U(0.2, 1.5), alpha = R R^T with R = U(-1, 1) * U(0.1, 1.5)."""
     K = rng.uniform(-1.5, 1.5, (2 * n, 2 * n)) * rng.uniform(0.2, 1.5)

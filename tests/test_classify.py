@@ -22,7 +22,7 @@ from gaussmap import (
     transposition,
     transposition_matrix,
 )
-from gaussmap.classify import _tol_scale
+from gaussmap.classify import _h_forms, _scale
 from helpers import (
     count_eigensolves,
     one_mode_margin,
@@ -31,6 +31,11 @@ from helpers import (
     random_valid_cov,
     seeded_map,
 )
+
+
+def _tol_scale(gmap):
+    """The scale of classify's CP and alpha tests: _scale at c = 1."""
+    return _scale(_h_forms(gmap)[2])
 
 
 def one_mode_map(k, alpha=None, y0=None):
@@ -324,8 +329,9 @@ def test_rescale_domain_and_examples_refuse_non_finite_parameters():
     with pytest.raises(ValueError, match="^scale must be positive and finite, got nan$"):
         rescale_domain(dilatation(2.0, 1), float("nan"))
     for example in (partial_transpose_example, q_exchange_example):
-        with pytest.raises(ValueError, match="^K has a NaN or infinite entry$"):
-            example(float("nan"))
+        for nu in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^K has a NaN or infinite entry$"):
+                example(nu)
 
 
 def test_classify_counterexamples_g2g_not_cp():
@@ -492,6 +498,39 @@ def test_alpha_threshold_shared_by_g2g_and_classical(n):
         assert report.is_classical_g2g is is_classical_g2g(gmap)
         assert not report.is_cp or report.is_g2g
         assert not report.is_g2g or report.is_classical_g2g
+
+
+def _shift_past(gmap, least, tol=1e-9):
+    """gmap with alpha + c I, c chosen so that least(shifted map) is
+    -tol * _tol_scale(shifted map) in exact arithmetic; least must move by
+    c exactly when alpha does. Rounding puts the computed value on either
+    side of the threshold."""
+    c = 0.0
+    for _ in range(2):  # the scale moves with alpha, by a relative 1e-9 at most
+        shifted = GaussianMap(K=gmap.K, alpha=gmap.alpha + c * np.eye(2 * gmap.n))
+        c += -least(shifted) - tol * _tol_scale(shifted)
+    return GaussianMap(K=gmap.K, alpha=gmap.alpha + c * np.eye(2 * gmap.n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_predicates_agree_with_classify_at_the_boundaries(n):
+    """Maps placed tol * _tol_scale past the CP boundary (h(1)) and past the
+    PSD boundary of alpha, where the last bits of an eigensolve decide:
+    is_cp and is_classical_g2g give classify's fields, from one test, and
+    CP implies G2G implies classical."""
+    rng = np.random.default_rng(24 + n)
+    at_one = lambda g: float(np.linalg.eigvalsh(g.alpha + 1j * (standard_form(g.n) - delta_K(g)))[0])
+    least_alpha = lambda g: float(np.linalg.eigvalsh(g.alpha)[0])
+    for _ in range(50):
+        base = random_multimode(rng, n)
+        for least in (at_one, least_alpha):
+            gmap = _shift_past(base, least)
+            report = classify(gmap)
+            assert is_cp(gmap) is report.is_cp
+            assert is_classical_g2g(gmap) is report.is_classical_g2g
+            assert is_g2g(gmap) is report.is_g2g
+            assert not report.is_cp or report.is_g2g
+            assert not report.is_g2g or report.is_classical_g2g
 
 
 def test_classify_computes_delta_K_once_per_decision(monkeypatch):

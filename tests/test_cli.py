@@ -21,7 +21,7 @@ from gaussmap import (
     transposition_matrix,
 )
 from gaussmap.cli import COMMANDS, build_parser, main
-from gaussmap.io import load_map, save_map, save_state, write_report
+from gaussmap.io import load_map, load_state_arrays, save_map, save_state, write_report
 from helpers import count_eigensolves, random_symplectic, random_valid_cov, seeded_map
 
 
@@ -708,6 +708,40 @@ def _json_layout(doc):
     json.dump(doc, buf, indent=2, sort_keys=True)
     buf.write("\n")
     return buf.getvalue()
+
+
+def test_save_state_round_trips_through_the_loader(tmp_path):
+    """What save_state writes, load_state_arrays reads back unchanged, a
+    subvacuum cov and a column mean included."""
+    rng = np.random.default_rng(5)
+    cases = [(rng.normal(size=(2 * n, 1)), random_valid_cov(n, rng)) for n in (1, 2, 3)]
+    cases.append((np.zeros(2), 0.5 * np.eye(2)))
+    for mean, cov in cases:
+        p = tmp_path / "state.json"
+        save_state(p, mean, cov)
+        loaded_mean, loaded_cov = load_state_arrays(p)
+        assert np.array_equal(loaded_mean, np.ravel(mean))
+        assert np.array_equal(loaded_cov, 0.5 * (cov + cov.T))
+
+
+@pytest.mark.parametrize(
+    "mean, cov, message",
+    [
+        (np.zeros(3), np.eye(2), "mean has shape (3,), expected (2,)"),
+        (np.zeros(2), np.eye(4), "mean has shape (2,), expected (4,)"),
+        (np.zeros(3), np.eye(3), "cov has shape (3, 3), expected a square matrix"),
+        (np.zeros(2), [[1.0, 0.5], [0.0, 1.0]], "cov must be symmetric within tolerance 1e-09"),
+        (np.zeros(2), [[1.0, float("nan")], [0.0, 1.0]], "cov has a NaN or infinite entry"),
+        ([0.0, float("nan")], np.eye(2), "mean has a NaN or infinite entry"),
+    ],
+)
+def test_save_state_refuses_what_the_loader_refuses(tmp_path, mean, cov, message):
+    """The loader's rules are checked before the file is opened, so no file is left."""
+    p = tmp_path / "state.json"
+    with pytest.raises(ValueError) as raised:
+        save_state(p, mean, cov)
+    assert str(raised.value).startswith(message)
+    assert not p.exists()
 
 
 def test_json_files_keep_their_layout(tmp_path):

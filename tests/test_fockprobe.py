@@ -678,6 +678,33 @@ def test_rows_and_sweeps_reject_nonfinite_arguments(bad):
             call(5, 2.0, bad)
 
 
+@pytest.mark.parametrize("m, lam", [(0, 2.0), (7, 1.5), (50, 2.0), (40, 0.5), (3, -1.0), (600, 3.0)])
+def test_norm_sums_sum_the_returned_row(m, lam):
+    """Both norm sums read the float64 row of dilated_fock_coefficients."""
+    coeffs = dilated_fock_coefficients(m, lam).coeffs
+    assert trace_norm_sum(m, lam) == float(np.sum(np.abs(coeffs)))
+    assert hs_norm_check(m, lam) == float(np.sum(coeffs * coeffs))
+
+
+def _row_fields(row):
+    return row.m, type(row.m), row.lam, row.tau, row.truncation_N, row.tail_bound, row.coeffs.tolist()
+
+
+@pytest.mark.parametrize("index_type", [np.int32, np.int64])
+def test_row_entry_points_take_numpy_integer_indices(index_type):
+    """A numpy integer index, which the validation accepts, gives what the
+    Python int gives at every row entry point, not an AttributeError from
+    int.bit_length in the FFT length."""
+    m, lam = 37, 2.0
+    assert _row_fields(dilated_fock_coefficients(index_type(m), lam)) == _row_fields(
+        dilated_fock_coefficients(m, lam)
+    )
+    sweep, expected = dilated_fock_sweep(index_type(m), lam), dilated_fock_sweep(m, lam)
+    assert [_row_fields(r) for r in sweep] == [_row_fields(r) for r in expected]
+    assert trace_norm_sum(index_type(m), lam) == trace_norm_sum(m, lam)
+    assert hs_norm_check(index_type(m), lam) == hs_norm_check(m, lam)
+
+
 def _exact_mixture_coefficient(weights, tau, n):
     """q_n = sum_m c_m p_n^(m) in rational arithmetic, weights a dict m -> c_m.
 

@@ -246,14 +246,24 @@ def test_transposition_empty_selection_is_identity():
 
 
 def test_transposition_out_of_range_mode():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mode index 5 out of range 1..2$"):
         transposition(2, modes={5})
+
+
+@pytest.mark.parametrize("mode", [1.5, 0, -1, None, "1"])
+def test_transposition_refuses_a_mode_index_that_is_not_a_positive_integer(mode):
+    """1.5 is refused, not truncated to mode 1."""
+    with pytest.raises(ValueError) as raised:
+        transposition(2, modes=[mode])
+    assert str(raised.value) == f"mode index must be a positive integer, got {mode!r}"
 
 
 def test_transposition_matrix_partial():
     # Mode indices are 1-based; transposing only the second mode flips its p.
-    t = transposition_matrix(2, modes={2})
-    assert np.allclose(t, np.diag([1.0, 1.0, 1.0, -1.0]))
+    # An index of integral value and any integer type names the same mode.
+    for modes in ({2}, [2.0], [np.int64(2)]):
+        t = transposition_matrix(2, modes=modes)
+        assert np.allclose(t, np.diag([1.0, 1.0, 1.0, -1.0]))
 
 
 _NAN = float("nan")
@@ -303,8 +313,9 @@ def test_gaussian_state_and_map_flatten_vectors():
 
 
 def test_dilatation_and_compose_refuse_malformed_maps():
-    with pytest.raises(ValueError, match="^K has a NaN or infinite entry$"):
-        dilatation(_NAN, 1)
+    for lam in (_NAN, _INF, -_INF):
+        with pytest.raises(ValueError, match="^K has a NaN or infinite entry$"):
+            dilatation(lam, 1)
     with pytest.raises(ValueError, match="^mode counts differ: 1 vs 2$"):
         compose(dilatation(2.0, 1), dilatation(2.0, 2))
     big = dilatation(1e200, 1)

@@ -289,11 +289,13 @@ def test_shape_checks_of_symplectic_functions_name_their_argument():
         _check_symmetric(np.eye(2)[0], 1e-9, name="alpha")
 
 
-@pytest.mark.parametrize("n", [0, -1, 1.5])
+@pytest.mark.parametrize("n", [0, -1, 1.5, float("inf"), float("-inf"), float("nan"), None, "2", 2j])
 def test_mode_count_names_a_bad_count(n):
-    with pytest.raises(ValueError) as raised:
-        _mode_count(n)
-    assert str(raised.value) == f"mode count must be a positive integer, got {n!r}"
+    """int(n) may raise OverflowError, TypeError or ValueError; each is this ValueError."""
+    for call in (_mode_count, standard_form):
+        with pytest.raises(ValueError) as raised:
+            call(n)
+        assert str(raised.value) == f"mode count must be a positive integer, got {n!r}"
 
 
 def test_mode_count_returns_an_int():
