@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import GaussianMap, transposition_matrix
-from .symplectic import DEFAULT_TOL, standard_form
+from .symplectic import DEFAULT_TOL, _tolerance, standard_form
 
 
 @dataclass
@@ -98,10 +98,22 @@ class NormalForm:
 
 
 def delta_K(gmap):
-    """The transformed canonical form K @ delta @ K.T (antisymmetric)."""
+    """The transformed canonical form K @ delta @ K.T (antisymmetric).
+
+    Raises:
+        ValueError: when it is not finite in double precision (K = 1e154 I
+        already overflows), naming max |K|: then no test of h can decide.
+    """
     delta = standard_form(gmap.n)
-    dk = gmap.K @ delta @ gmap.K.T
-    return 0.5 * (dk - dk.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dk = gmap.K @ delta @ gmap.K.T
+        dk = 0.5 * (dk - dk.T)
+    if not np.isfinite(dk).all():
+        raise ValueError(
+            "map cannot be decided in double precision: K D K.T is not finite "
+            f"(max |K| = {np.max(np.abs(gmap.K)):.3e})"
+        )
+    return dk
 
 
 def direction_margin(gmap, w):
@@ -200,7 +212,8 @@ def _solve_h(A, G, scale, at_one=None):
     cuts = []
 
     def cut(c, eig=None):
-        w, v = np.linalg.eigh(A - c * G) if eig is None else eig
+        # A cut needs the eigensolve of _least_eig_test, not its test.
+        w, v = _least_eig_test(A - c * G, scale, 0.0)[0] if eig is None else eig
         cuts.append((c, float(w[0]), -float(np.vdot(v[:, 0], G @ v[:, 0]).real), v[:, 0]))
         return cuts[-1]
 
@@ -270,15 +283,30 @@ def _max_h_witness(gmap, G, v_l, v_r):
     return min(((w, direction_margin(gmap, w)) for w in candidates), key=lambda p: p[1])
 
 
-def _least_eig_test(matrix, sizes, tol):
-    """(eigh(matrix), passed), passed when its least eigenvalue is >= -tol * _scale(sizes).
+def _least_eig_test(matrix, scale, tol):
+    """(eigh(matrix), passed), passed when its least eigenvalue is >= -tol * scale.
 
-    The one test of complete positivity (matrix A - G, see _h_forms) and
-    of classical admissibility (matrix alpha), so is_cp and
-    is_classical_g2g give classify's fields from the same eigendecomposition.
+    Every eigensolve of this module: the one test of complete positivity
+    (matrix A - G, see _h_forms, with scale = _scale(sizes)) and of
+    classical admissibility (matrix alpha), so is_cp and is_classical_g2g
+    give classify's fields from the same eigendecomposition, and every cut
+    of _solve_h.
+
+    Raises:
+        ValueError: when tol is not a finite number >= 0, or when eigh
+        fails or returns a least eigenvalue, the one every decision reads,
+        that is not finite; the message names scale.
     """
-    eig = np.linalg.eigh(matrix)
-    return eig, bool(eig[0][0] >= -tol * _scale(sizes))
+    _tolerance(tol)
+    try:
+        eig = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError:
+        eig = None
+    if eig is None or not math.isfinite(eig[0][0]):
+        raise ValueError(
+            f"map cannot be decided in double precision: an eigensolve at scale {scale:.3e} failed"
+        )
+    return eig, bool(eig[0][0] >= -tol * scale)
 
 
 def is_cp(gmap, tol=DEFAULT_TOL):
@@ -290,7 +318,7 @@ def is_cp(gmap, tol=DEFAULT_TOL):
     is_cp(gmap) == classify(gmap).is_cp.
     """
     A, G, sizes = _h_forms(gmap)
-    return _least_eig_test(A - G, sizes, tol)[1]
+    return _least_eig_test(A - G, _scale(sizes), tol)[1]
 
 
 def is_classical_g2g(gmap, tol=DEFAULT_TOL):
@@ -298,7 +326,7 @@ def is_classical_g2g(gmap, tol=DEFAULT_TOL):
 
     The test of classify, so is_classical_g2g(gmap) == classify(gmap).is_classical_g2g.
     """
-    return _least_eig_test(gmap.alpha, _h_forms(gmap)[2], tol)[1]
+    return _least_eig_test(gmap.alpha, _scale(_h_forms(gmap)[2]), tol)[1]
 
 
 def is_g2g(gmap, tol=DEFAULT_TOL):
@@ -351,8 +379,9 @@ def _classify(gmap, A, G, sizes, tol):
         and margin are None, for classify to fill from _max_h_witness;
         otherwise bracket is None.
     """
-    (w_a, v_a), classical = _least_eig_test(gmap.alpha, sizes, tol)
-    at_one, cp = _least_eig_test(A - G, sizes, tol)
+    scale = _scale(sizes)
+    (w_a, v_a), classical = _least_eig_test(gmap.alpha, scale, tol)
+    at_one, cp = _least_eig_test(A - G, scale, tol)
     report = partial(ClassificationReport, is_cp=cp, is_classical_g2g=classical)
     if cp:
         return report(is_g2g=True, method="cp_implies_g2g", c_star=1.0), ((1.0, float(at_one[0][0])),) * 2, None
@@ -364,7 +393,7 @@ def _classify(gmap, A, G, sizes, tol):
             margin=a_min,
             method="negative_alpha",
         ), None, None
-    solution, bracket, ends = _solve_h(A, G, _scale(sizes), at_one)
+    solution, bracket, ends = _solve_h(A, G, scale, at_one)
     if solution.h_max >= -tol * _scale(sizes, solution.c_star):
         ends = ends or ((solution.c_star, solution.h_max),) * 2
         return report(is_g2g=True, margin=max(solution.h_max, 0.0), **vars(solution)), ends, None
@@ -490,6 +519,11 @@ def _one_mode_form(gmap, tol):
     return _normal_form(gmap, kind, lam, transposed)
 
 
+class _NotG2G(ValueError):
+    """decompose's refusal of a map that is not Gaussian-to-Gaussian, told
+    apart from a map that cannot be decided at all."""
+
+
 def decompose(gmap, tol=DEFAULT_TOL):
     """Normal form K = S . T^b . (lam identity) of a map, with (S, alpha, y0) CP.
 
@@ -510,14 +544,16 @@ def decompose(gmap, tol=DEFAULT_TOL):
     Raises:
         ValueError: when the map is not Gaussian-to-Gaussian, with the
         reason (for a noiseless map: K D K.T is not proportional to D, or
-        its scale is below 1).
+        its scale is below 1), as the private subclass _NotG2G; as a plain
+        ValueError for a bad tol or a map that cannot be decided in double
+        precision (see delta_K and _least_eig_test).
     """
     A, G, sizes = _h_forms(gmap)
     report, ends, _ = _classify(gmap, A, G, sizes, tol)
     noiseless = sizes[0] <= tol * _scale(sizes)
     if not report.is_g2g:
         reason = _noiseless_rejection(gmap, G, sizes, tol) if noiseless else "no normal form exists"
-        raise ValueError(f"map is not Gaussian-to-Gaussian; {reason}")
+        raise _NotG2G(f"map is not Gaussian-to-Gaussian; {reason}")
     if gmap.n == 1:
         return _one_mode_form(gmap, tol)
     factoring = _factor_interval(sizes, ends, tol)

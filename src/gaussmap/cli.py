@@ -17,12 +17,17 @@ and the number of eigensolves; a report carries them under
 "certificate". decompose prints the normal form of classify.decompose,
 which decides a map once and reads its factoring off that decision.
 
-The four commands that read files (validate, classify, decompose, apply)
-share one runner, _file_command; their handlers only print the library's
-answers and fill the report.
+Each command registers itself once, through its decorator: _command,
+or _file_command for the four that read files (validate, classify,
+decompose, apply), whose handlers only print the library's answers and
+fill the report. A handler raises OSError or ValueError for what it
+refuses, and main alone turns that into one line "command: message" on
+stderr and exit 1, with no report written.
 
-Exit codes: 0 ok/true, 1 I/O or schema error, 2 invalid state or map
-not Gaussian-to-Gaussian, 4 no decomposition exists.
+Exit codes: 0 ok/true; 1 an I/O error, a schema error, a refused argument
+(--tol, --weights, --lambda, --m-list, ...) or a map that cannot be
+decided in double precision; 2 invalid state or map not
+Gaussian-to-Gaussian; 4 no decomposition exists.
 """
 
 import argparse
@@ -31,21 +36,19 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classify import classify, decompose
+from .classify import _NotG2G, classify, decompose
 from .fockprobe import DEFAULT_EPS, airy_limit_error, probe_fock_mixture
 from .gaussian import apply_map_moments, transposition_matrix
 from .io import interleave_complex, load_map, load_state_arrays, write_report
-from .symplectic import DEFAULT_TOL, covariance_spectrum, is_valid_covariance
+from .symplectic import DEFAULT_TOL, _tolerance, covariance_spectrum, is_valid_covariance
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
 EXIT_INVALID = 2
 EXIT_NO_DECOMPOSITION = 4
 
-
-def _fail(message):
-    print(message, file=sys.stderr)
-    return EXIT_SCHEMA
+# name: (help, add_arguments, handler), filled by the decorators below.
+COMMANDS = {}
 
 
 def _fmt(x):
@@ -67,48 +70,49 @@ def _parse_list(text, flag, kind=float):
         raise ValueError(f"{flag} must be a comma-separated list of {what}, got {text!r}")
 
 
-def _files(*names):
-    """add_arguments of a command that reads the named JSON files."""
+def _command(name, help_text, add_arguments):
+    """Decorator: register handler(args) as the command name, with the help
+    and add_arguments(parser) of its parser."""
+    def register(handler):
+        COMMANDS[name] = (help_text, add_arguments, handler)
+        return handler
+    return register
+
+
+def _file_command(command, help_text, *names):
+    """Decorator: register a command that reads the named JSON files (map, state).
+
+    --tol is checked before any file is read. The report starts with
+    command, input (or input_map and input_state), version and tol; the
+    decorated body(args, payload, *loaded) prints, fills the payload and
+    returns the exit code, and --report is written after it returns.
+    """
+    inputs = ["input"] if len(names) == 1 else [f"input_{name}" for name in names]
+
     def add_arguments(parser):
         for name in names:
             parser.add_argument(name, help=f"{name} JSON file")
         parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance, a finite number >= 0")
         parser.add_argument("--report", help="write a JSON report to this path")
-    return add_arguments
-
-
-def _file_command(command, *names):
-    """Decorator: the handler of a command that reads the named files (map, state).
-
-    A bad --tol or a file that fails to load ends the run with exit 1 and
-    one line "command: message" on stderr. The report starts with command,
-    input (or input_map and input_state), version and tol; the decorated
-    body(args, payload, *loaded) prints, fills the payload and returns the
-    exit code. --report is written unless that code is 1.
-    """
-    inputs = ["input"] if len(names) == 1 else [f"input_{name}" for name in names]
 
     def wrap(body):
+        @_command(command, help_text, add_arguments)
         def handler(args):
+            _tolerance(args.tol, "--tol")
             # Looked up per call, so that a patched loader is the one called.
             loaders = {"map": load_map, "state": load_state_arrays}
-            try:
-                if not (np.isfinite(args.tol) and args.tol >= 0):
-                    raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
-                loaded = [loaders[name](getattr(args, name)) for name in names]
-            except (OSError, ValueError) as exc:
-                return _fail(f"{command}: {exc}")
+            loaded = [loaders[name](getattr(args, name)) for name in names]
             payload = {"command": command, "version": __version__, "tol": args.tol}
             payload.update((key, getattr(args, name)) for key, name in zip(inputs, names))
             code = body(args, payload, *loaded)
-            if args.report and code != EXIT_SCHEMA:
+            if args.report:
                 write_report(args.report, payload)
             return code
         return handler
     return wrap
 
 
-@_file_command("validate", "state")
+@_file_command("validate", "check a covariance state file", "state")
 def cmd_validate(args, payload, state):
     try:
         nu, valid = covariance_spectrum(state[1], tol=args.tol)
@@ -122,7 +126,7 @@ def cmd_validate(args, payload, state):
     return EXIT_OK if valid else EXIT_INVALID
 
 
-@_file_command("classify", "map")
+@_file_command("classify", "classify a map file", "map")
 def cmd_classify(args, payload, gmap):
     report = classify(gmap, tol=args.tol)
     witness = report.witness
@@ -152,11 +156,11 @@ def cmd_classify(args, payload, gmap):
     return EXIT_OK if report.is_g2g else EXIT_INVALID
 
 
-@_file_command("decompose", "map")
+@_file_command("decompose", "compute a normal form of a map file", "map")
 def cmd_decompose(args, payload, gmap):
     try:
         nf = decompose(gmap, tol=args.tol)
-    except ValueError as exc:  # not G2G; the message gives the reason
+    except _NotG2G as exc:  # the message gives the reason
         print(exc)
         payload.update(normal_form=None, note="not Gaussian-to-Gaussian")
         return EXIT_INVALID
@@ -179,12 +183,9 @@ def cmd_decompose(args, payload, gmap):
     return EXIT_OK
 
 
-@_file_command("apply", "map", "state")
+@_file_command("apply", "apply a map file to a state file", "map", "state")
 def cmd_apply(args, payload, gmap, state):
-    try:
-        out_mean, out_cov = apply_map_moments(gmap, *state)
-    except ValueError as exc:  # the state has another number of modes
-        return _fail(f"apply: {exc}")
+    out_mean, out_cov = apply_map_moments(gmap, *state)
     valid = is_valid_covariance(out_cov, tol=args.tol)
     print("output mean:", " ".join(_fmt(v) for v in out_mean))
     print("output cov:")
@@ -195,12 +196,17 @@ def cmd_apply(args, payload, gmap, state):
     return EXIT_OK if valid else EXIT_INVALID
 
 
+def _probe_args(parser):
+    parser.add_argument("--weights", required=True, help="comma-separated mixture weights c_0,c_1,...")
+    parser.add_argument("--lambda", dest="lam", type=float, required=True, help="dilatation parameter")
+    parser.add_argument("--epsilon", type=float, default=DEFAULT_EPS, help="truncation precision")
+    parser.add_argument("--csv", help="write the output coefficients to this CSV path")
+
+
+@_command("probe", "probe a Fock mixture for negativity", _probe_args)
 def cmd_probe(args):
-    try:
-        weights = _parse_list(args.weights, "--weights")
-        result = probe_fock_mixture(weights, args.lam, eps=args.epsilon)
-    except ValueError as exc:
-        return _fail(f"probe: {exc}")
+    weights = _parse_list(args.weights, "--weights")
+    result = probe_fock_mixture(weights, args.lam, eps=args.epsilon)
     print(f"verdict: {result.verdict}")
     print(f"min coefficient: {_fmt(result.min_coefficient)}")
     if result.negative_indices:
@@ -216,28 +222,6 @@ def cmd_probe(args):
     return EXIT_OK
 
 
-def cmd_limit_check(args):
-    try:
-        m_list = _parse_list(args.m_list, "--m-list", int)
-        if not m_list:
-            raise ValueError("--m-list must contain at least one index")
-        errors = [airy_limit_error(args.k, m, args.lam) for m in m_list]
-    except ValueError as exc:
-        return _fail(f"limit-check: {exc}")
-    for m, err in zip(m_list, errors):
-        print(f"m={m}: error {_fmt(err)}")
-    if args.csv:
-        _write_csv(args.csv, ("m", "error"), list(zip(m_list, errors)))
-    return EXIT_OK
-
-
-def _probe_args(parser):
-    parser.add_argument("--weights", required=True, help="comma-separated mixture weights c_0,c_1,...")
-    parser.add_argument("--lambda", dest="lam", type=float, required=True, help="dilatation parameter")
-    parser.add_argument("--epsilon", type=float, default=DEFAULT_EPS, help="truncation precision")
-    parser.add_argument("--csv", help="write the output coefficients to this CSV path")
-
-
 def _limit_check_args(parser):
     parser.add_argument("--lambda", dest="lam", type=float, required=True, help="dilatation parameter")
     parser.add_argument("--k", type=float, required=True, help="scaling variable")
@@ -245,15 +229,17 @@ def _limit_check_args(parser):
     parser.add_argument("--csv", help="write the error curve to this CSV path")
 
 
-# name: (help, add_arguments, handler); every command's arguments are defined here once.
-COMMANDS = {
-    "validate": ("check a covariance state file", _files("state"), cmd_validate),
-    "classify": ("classify a map file", _files("map"), cmd_classify),
-    "decompose": ("compute a normal form of a map file", _files("map"), cmd_decompose),
-    "apply": ("apply a map file to a state file", _files("map", "state"), cmd_apply),
-    "probe": ("probe a Fock mixture for negativity", _probe_args, cmd_probe),
-    "limit-check": ("evaluate the oscillatory limit error curve", _limit_check_args, cmd_limit_check),
-}
+@_command("limit-check", "evaluate the oscillatory limit error curve", _limit_check_args)
+def cmd_limit_check(args):
+    m_list = _parse_list(args.m_list, "--m-list", int)
+    if not m_list:
+        raise ValueError("--m-list must contain at least one index")
+    errors = [airy_limit_error(args.k, m, args.lam) for m in m_list]
+    for m, err in zip(m_list, errors):
+        print(f"m={m}: error {_fmt(err)}")
+    if args.csv:
+        _write_csv(args.csv, ("m", "error"), list(zip(m_list, errors)))
+    return EXIT_OK
 
 
 def build_parser():
@@ -263,17 +249,17 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, handler) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=handler)
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None):
     # A known command builds only its own parser, the twin of its subparser
-    # in build_parser. Help, version, unknown commands and unrecognized
-    # arguments go to build_parser, for the full parser's messages and codes.
+    # in build_parser, and its handler's refusals end here with exit 1.
+    # Help, version, unknown commands and unrecognized arguments go to
+    # build_parser, which prints the full parser's message and exits: it
+    # accepts exactly the argv that a command's own parser accepts.
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in COMMANDS:
         _, add_arguments, handler = COMMANDS[argv[0]]
@@ -281,9 +267,12 @@ def main(argv=None):
         add_arguments(parser)
         args, extras = parser.parse_known_args(argv[1:])
         if not extras:
-            return handler(args)
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+            try:
+                return handler(args)
+            except (OSError, ValueError) as exc:
+                print(f"{argv[0]}: {exc}", file=sys.stderr)
+                return EXIT_SCHEMA
+    build_parser().parse_args(argv)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,8 @@ covariance matrix is the identity, so a covariance matrix is physical
 exactly when all of its symplectic eigenvalues are >= 1.
 """
 
+import math
+
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -38,6 +40,17 @@ def _array(value, shape, name):
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} has a NaN or infinite entry")
     return arr
+
+
+def _tolerance(tol, name="tol"):
+    """ValueError unless tol is a finite number >= 0, the rule of every tolerance.
+
+    The message is "{name} must be a finite number >= 0, got {tol!r}". A
+    NaN, infinite or negative tol would turn a test that allows tol times a
+    scale into a made-up verdict.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {tol!r}")
 
 
 def _square(value, name):
@@ -77,12 +90,14 @@ def is_symplectic(S, tol=DEFAULT_TOL):
 
     The comparison uses the max-abs-entry norm, relative to ||delta|| = 1.
     """
+    _tolerance(tol)
     S = _square(S, "S")
     delta = standard_form(S.shape[0] // 2)
     return bool(np.max(np.abs(S @ delta @ S.T - delta)) <= tol)
 
 
 def _check_symmetric(sigma, tol, name="sigma"):
+    _tolerance(tol)
     sigma = _square(sigma, name)
     scale = max(1.0, float(np.max(np.abs(sigma))))
     if np.max(np.abs(sigma - sigma.T)) > tol * scale:
@@ -123,8 +138,9 @@ def symplectic_eigenvalues(sigma, tol=DEFAULT_TOL):
         Ascending numpy array of the n symplectic eigenvalues.
 
     Raises:
-        ValueError: if sigma is not symmetric, or has a negative-definite
-            direction (strictly negative eigenvalue beyond tolerance).
+        ValueError: if tol is not a finite number >= 0, sigma is not
+            symmetric, or sigma has a negative-definite direction (strictly
+            negative eigenvalue beyond tolerance).
     """
     return covariance_spectrum(sigma, tol)[0]
 

@@ -22,7 +22,7 @@ from gaussmap import (
     transposition,
     transposition_matrix,
 )
-from gaussmap.classify import _h_forms, _scale
+from gaussmap.classify import _NotG2G, _h_forms, _scale
 from helpers import (
     count_eigensolves,
     one_mode_margin,
@@ -321,6 +321,42 @@ def test_nan_map_gets_no_verdict():
     for call in (classify, is_g2g, decompose):
         with pytest.raises(ValueError, match="^K has a NaN or infinite entry$"):
             call(GaussianMap(K=nan_K, alpha=np.eye(2)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_map_beyond_double_precision_gets_no_verdict(n):
+    """K = 1e154 I overflows K D K.T: every decision refuses the map with a
+    ValueError naming max |K|, and decompose's is not its not-G2G refusal."""
+    gmap = GaussianMap(K=1e154 * np.eye(2 * n), alpha=np.zeros((2 * n, 2 * n)))
+    message = r"^map cannot be decided in double precision: K D K.T is not finite \(max \|K\| = 1.000e\+154\)$"
+    for call in (classify, is_g2g, is_cp, is_classical_g2g, decompose):
+        with pytest.raises(ValueError, match=message) as raised:
+            call(gmap)
+        assert not isinstance(raised.value, _NotG2G)
+
+
+@pytest.mark.parametrize("failing_call", [1, 2, 3])
+@pytest.mark.parametrize("failure", ["LinAlgError", "nan"])
+def test_failed_eigensolve_gets_no_verdict(monkeypatch, failure, failing_call):
+    """An eigh that fails, or returns a NaN eigenvalue, in the alpha test,
+    the CP test or a cut of the solve ends classify with a ValueError that
+    names the scale, not with a verdict read off a NaN."""
+    original, calls = np.linalg.eigh, [0]
+
+    def eigh(matrix):
+        calls[0] += 1
+        w, v = original(matrix)
+        if calls[0] != failing_call:
+            return w, v
+        if failure == "nan":
+            return np.full_like(w, np.nan), v
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    message = r"^map cannot be decided in double precision: an eigensolve at scale 1.000e\+00 failed$"
+    with pytest.raises(ValueError, match=message):
+        classify(dilatation(0.5, 1))
+    assert calls[0] == failing_call
 
 
 def test_rescale_domain_and_examples_refuse_non_finite_parameters():

@@ -56,6 +56,9 @@ def fixtures(tmp_path):
         "nonprop.json",
         GaussianMap(K=np.diag([2.0, 2.0, 1.0, 1.0]), alpha=np.zeros((4, 4)), y0=np.zeros(4)),
     )
+    # K D K.T overflows double precision: no verdict can be given.
+    gmap("huge1.json", GaussianMap(K=1e154 * np.eye(2), alpha=np.zeros((2, 2))))
+    gmap("huge2.json", GaussianMap(K=1e154 * np.eye(4), alpha=np.zeros((4, 4))))
     broken = tmp_path / "broken.json"
     broken.write_text("{ not json")
     paths["broken.json"] = str(broken)
@@ -534,14 +537,29 @@ def test_file_command_report_header(fixtures, tmp_path, command):
         ["classify", "broken.json"],
         ["apply", "dil2.json", "broken.json"],
         ["apply", "dil2.json", "vac2.json"],
+        ["apply", "missing.json", "vacuum.json"],
+        ["decompose", "dil2.json", "--tol", "inf"],
+        ["apply", "dil2.json", "vacuum.json", "--tol", "-1"],
+        ["classify", "huge1.json"],
+        ["classify", "huge2.json"],
+        ["decompose", "huge1.json"],
+        ["decompose", "huge2.json"],
+        ["probe", "--weights", "0.5,nan", "--lambda", "2"],
+        ["probe", "--weights", "0,a", "--lambda", "2"],
+        ["probe", "--weights", "0,1", "--lambda", "nan"],
+        ["limit-check", "--lambda", "nan", "--k", "1", "--m-list", "10"],
+        ["limit-check", "--lambda", "2", "--k", "1", "--m-list", ","],
     ],
 )
 def test_exit_1_writes_no_report(fixtures, tmp_path, capsys, argv):
     """A run that ends with exit 1 (bad --tol, missing or malformed file,
-    dimension mismatch) prints one line to stderr and writes no report."""
+    dimension mismatch, a map that cannot be decided in double precision,
+    a refused probe or limit-check argument) prints one line to stderr and
+    writes no report, nor the CSV of probe and limit-check."""
     argv = [fixtures.get(a, os.path.join(fixtures["dir"], a)) if a.endswith(".json") else a for a in argv]
     r = tmp_path / "r.json"
-    assert main([*argv, "--report", str(r)]) == 1
+    flag = "--csv" if argv[0] in ("probe", "limit-check") else "--report"
+    assert main([*argv, flag, str(r)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith(f"{argv[0]}: ")
@@ -817,11 +835,10 @@ def _valid_argvs(paths):
 
 def test_one_parser_namespace_matches_full_parser(fixtures, monkeypatch):
     """main hands each command's handler the namespace of build_parser's
-    subparser, without its command and func entries."""
+    subparser, without its command entry."""
     for argv in _valid_argvs(fixtures):
         expected = vars(build_parser().parse_args(argv))
         assert expected.pop("command") == argv[0]
-        assert expected.pop("func") is COMMANDS[argv[0]][2]
         seen = []
         help_text, add_arguments, _ = COMMANDS[argv[0]]
         monkeypatch.setitem(COMMANDS, argv[0], (help_text, add_arguments, lambda a: seen.append(a)))

@@ -2,6 +2,13 @@ import numpy as np
 import pytest
 
 from gaussmap import (
+    GaussianMap,
+    classify,
+    covariance_spectrum,
+    decompose,
+    is_classical_g2g,
+    is_cp,
+    is_g2g,
     is_symplectic,
     is_valid_covariance,
     standard_form,
@@ -300,3 +307,28 @@ def test_mode_count_names_a_bad_count(n):
 
 def test_mode_count_returns_an_int():
     assert _mode_count(2.0) == 2 and type(_mode_count(2.0)) is int
+
+
+# Every public function that takes a tol, with an argument it decides at
+# tol = 0: an attenuator with unit noise, which is CP, and the vacuum.
+_ATTENUATOR = GaussianMap(K=0.5 * np.eye(2), alpha=np.eye(2))
+_TOL_CALLS = {
+    call.__name__: (call, arg)
+    for calls, arg in (
+        ((classify, is_g2g, is_cp, is_classical_g2g, decompose), _ATTENUATOR),
+        ((is_valid_covariance, covariance_spectrum, symplectic_eigenvalues, is_symplectic), np.eye(2)),
+    )
+    for call in calls
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("name", list(_TOL_CALLS))
+def test_tol_must_be_finite_and_nonnegative(name, tol):
+    """One rule for every tolerance: a NaN, infinite or negative tol is
+    refused, where it would otherwise give a made-up verdict; tol = 0 decides."""
+    call, arg = _TOL_CALLS[name]
+    with pytest.raises(ValueError) as raised:
+        call(arg, tol=tol)
+    assert str(raised.value) == f"tol must be a finite number >= 0, got {tol!r}"
+    assert call(arg, tol=0.0) is not None
