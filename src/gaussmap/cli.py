@@ -39,7 +39,7 @@ from . import __version__
 from .classify import _NotG2G, classify, decompose
 from .fockprobe import DEFAULT_EPS, airy_limit_error, probe_fock_mixture
 from .gaussian import apply_map_moments, transposition_matrix
-from .io import interleave_complex, load_map, load_state_arrays, write_report
+from .io import load_map, load_state_arrays, write_report
 from .symplectic import DEFAULT_TOL, _tolerance, covariance_spectrum, is_valid_covariance
 
 EXIT_OK = 0
@@ -138,7 +138,7 @@ def cmd_classify(args, payload, gmap):
         certificate={
             key: getattr(report, key) for key in ("h_max", "c_star", "h_upper", "interval", "eigensolves")},
         witness=None if witness is None else {
-            "direction": interleave_complex(witness.w), "objective": float(witness.objective)},
+            "direction": witness.w, "objective": float(witness.objective)},
     )
     print(f"gaussian-to-gaussian: {str(report.is_g2g).lower()}")
     print(f"completely positive: {str(report.is_cp).lower()}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .symplectic import (
-    DEFAULT_TOL, _array, _check_symmetric, _mode_count, _square, is_valid_covariance)
+    DEFAULT_TOL, _array, _check_symmetric, _mode_count, _split, _square, is_valid_covariance)
 
 
 @dataclass
@@ -112,12 +112,14 @@ def apply_map_moments(gmap, mean, cov):
 
     Unlike `apply_map` it takes the arrays themselves, so moments that
     are not a physical state (a subvacuum cov, say) go through as well.
-    The covariance is returned as 0.5 (C + C.T): rounding leaves the
-    product C = K sigma K.T + alpha off symmetric in the last bits, and a
-    symmetry check at tol = 0 would reject it. Moments of another size
-    raise ValueError("dimension mismatch (map has n = ..., state has ...)"),
-    where the state has "n = ..." when its mean and cov agree on a mode
-    count, and "mean of shape ... and cov of shape ..." when they do not.
+    The covariance is returned as the symmetric part 0.5 C + 0.5 C.T:
+    rounding leaves the product C = K sigma K.T + alpha off symmetric in
+    the last bits, and a symmetry check at tol = 0 would reject it. Moments
+    of another size raise ValueError("dimension mismatch (map has n = ...,
+    state has ...)"), where the state has "n = ..." when its mean and cov
+    agree on a mode count, and "mean of shape ... and cov of shape ..."
+    when they do not. Output moments that overflow double precision raise
+    ValueError naming max |K|, as delta_K does.
     """
     d = 2 * gmap.n
     shapes = np.shape(mean), np.shape(cov)
@@ -128,8 +130,12 @@ def apply_map_moments(gmap, mean, cov):
         else:
             state = f"mean of shape {shapes[0]} and cov of shape {shapes[1]}"
         raise ValueError(f"dimension mismatch (map has n = {gmap.n}, state has {state})")
-    cov_out = gmap.K @ cov @ gmap.K.T + gmap.alpha
-    return gmap.K @ mean + gmap.y0, 0.5 * (cov_out + cov_out.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_out = gmap.K @ mean + gmap.y0
+        cov_out = _split(gmap.K @ cov @ gmap.K.T + gmap.alpha)[0]
+    if not (np.isfinite(mean_out).all() and np.isfinite(cov_out).all()):
+        raise ValueError(f"output moments are not finite in double precision (max |K| = {np.max(np.abs(gmap.K)):.3e})")
+    return mean_out, cov_out
 
 
 def apply_map_char(gmap, chi_in, k):

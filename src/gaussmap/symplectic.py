@@ -96,13 +96,25 @@ def is_symplectic(S, tol=DEFAULT_TOL):
     return bool(np.max(np.abs(S @ delta @ S.T - delta)) <= tol)
 
 
+def _split(sigma):
+    """(symmetric part, antisymmetric part) of sigma, halved before they are
+    summed: finite for every finite sigma, where 0.5 (sigma + sigma.T)
+    overflows from about 9e307. Halving is exact away from subnormal
+    entries, so there the parts are bit for bit those of the unhalved sums."""
+    half = 0.5 * sigma
+    return half + half.T, half - half.T
+
+
 def _check_symmetric(sigma, tol, name="sigma"):
+    """The symmetric part of sigma, or ValueError unless
+    max |sigma - sigma.T| <= tol * max(1, max |sigma|)."""
     _tolerance(tol)
     sigma = _square(sigma, name)
     scale = max(1.0, float(np.max(np.abs(sigma))))
-    if np.max(np.abs(sigma - sigma.T)) > tol * scale:
+    sym, anti = _split(sigma)
+    if np.max(np.abs(anti)) > 0.5 * tol * scale:
         raise ValueError(f"{name} must be symmetric within tolerance {tol}")
-    return 0.5 * (sigma + sigma.T)
+    return sym
 
 
 def _symplectic_spectrum(sigma, tol):

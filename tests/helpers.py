@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.linalg import expm
 
-from gaussmap import GaussianMap, standard_form
+from gaussmap import GaussianMap, standard_form, symplectic_eigenvalues
 
 
 def random_symplectic(n, rng, scale=1.0):
@@ -178,3 +178,31 @@ def one_mode_margin(gmap):
     y = v_m[:, 0]
     w = y[:2] + 1j * y[2:]
     return float(w_m[0]), w / np.linalg.norm(w)
+
+
+def homogeneous_oracle(K, alpha):
+    """Exact verdicts for a map with K D K^T = kappa D, kappa != 0, and alpha >= 0.
+
+    Such a K is sqrt|kappa| S T^b with S symplectic, so
+    h(c) = lambda_min(alpha + i (1 - c kappa) D). Writing alpha =
+    S' diag(nu_j, nu_j) S'^T (Williamson), alpha + i gamma D >= 0 holds
+    exactly when nu_min >= |gamma|. So the map is G2G exactly when some c
+    in [-1, 1] has |1 - c kappa| <= nu_min, with those c forming the
+    interval [(1 - nu_min) / kappa, (1 + nu_min) / kappa] n [-1, 1], and
+    CP exactly when |1 - kappa| <= nu_min. The factor K = lam S'' T^b with
+    S'' CP is read off the interval end of largest |c| as lam = 1 / sqrt|c|
+    and b = (c < 0), the positive end winning a tie.
+
+    Returns:
+        (is_g2g, is_cp, interval, (lam, transposed)), the last two None when
+        the map is not G2G.
+    """
+    delta = standard_form(K.shape[0] // 2)
+    kappa = float(np.sum((K @ delta @ K.T) * delta) / np.sum(delta * delta))
+    nu = float(symplectic_eigenvalues(alpha)[0])
+    lo, hi = sorted(((1.0 - nu) / kappa, (1.0 + nu) / kappa))
+    lo, hi = max(lo, -1.0), min(hi, 1.0)
+    if lo > hi:
+        return False, False, None, None
+    c = hi if hi >= -lo else lo
+    return True, abs(1.0 - kappa) <= nu, (lo, hi), (1.0 / np.sqrt(abs(c)), bool(c < 0))

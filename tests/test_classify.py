@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from gaussmap import (
 from gaussmap.classify import _NotG2G, _h_forms, _scale
 from helpers import (
     count_eigensolves,
+    homogeneous_oracle,
     one_mode_margin,
     random_multimode,
     random_symplectic,
@@ -632,3 +634,93 @@ def test_not_g2g_classify_eigensolves_beyond_solve(n, monkeypatch):
         assert count[0] - before == report.eigensolves + 1
         seen += 1
     assert seen >= 5
+
+
+def _homogeneous_map(rng, n, kappa, nu_min=None):
+    """K = sqrt|kappa| S T^b (b = 1 for kappa < 0), S = random_symplectic, and
+    alpha = S' diag(nu_j, nu_j) S'^T with nu_min the least nu_j, or alpha = 0
+    for nu_min None. Returns (map, alpha for any other nu_min, ||S'||_2^2)."""
+    S, S_alpha = random_symplectic(n, rng, scale=0.3), random_symplectic(n, rng, scale=0.3)
+    K = math.sqrt(abs(kappa)) * S @ (transposition_matrix(n) if kappa < 0 else np.eye(2 * n))
+    spread = rng.uniform(0.1, 1.0, n - 1)
+
+    def alpha(nu):
+        return S_alpha @ np.diag(np.repeat(np.concatenate(([nu], nu + spread)), 2)) @ S_alpha.T
+
+    a = np.zeros((2 * n, 2 * n)) if nu_min is None else alpha(nu_min)
+    return GaussianMap(K=K, alpha=a), alpha, np.linalg.norm(S_alpha, 2) ** 2
+
+
+def _homogeneous_corpus(n, rng, tol):
+    """Seeded homogeneous maps at kappa from 1e-12 to 1e6, both signs:
+    random noise, alpha = 0, and maps placed +-10 tol * scale from the G2G
+    boundary (nu_min = 1 - |kappa|) and the CP boundary (nu_min = |1 - kappa|).
+    A shift of nu_min by 10 tol * scale * ||S'||^2 moves h by at least 10 tol
+    * scale, as alpha + i gamma D = S' (diag(nu) + i gamma D) S'^T."""
+    for _ in range(6):
+        yield _homogeneous_map(rng, n, rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12, 6), rng.uniform(0, 2))[0]
+    for kappa in (4.0, -2.5, 1e6, -1e-12):
+        yield _homogeneous_map(rng, n, kappa)[0]
+    for kappa in (1.0, -1.0):
+        gmap = _homogeneous_map(rng, n, kappa)[0]
+        offset = 10 * tol * _tol_scale(gmap)
+        for sign in (1, -1):
+            yield GaussianMap(K=math.sqrt(1 + sign * offset) * gmap.K, alpha=gmap.alpha)
+    for kappa in (0.3, -0.7, 2.5, -2.5, -1e-12):
+        boundaries = {abs(1 - kappa)} | ({1 - abs(kappa)} if abs(kappa) < 1 else set())
+        for nu in sorted(boundaries):
+            gmap, alpha, stretch = _homogeneous_map(rng, n, kappa, nu)
+            offset = 10 * tol * _tol_scale(gmap) * stretch
+            for sign in (1, -1):
+                yield GaussianMap(K=gmap.K, alpha=alpha(nu + sign * offset))
+
+
+def _check_homogeneous(gmap, tol):
+    """classify, is_cp, is_g2g and decompose against homogeneous_oracle.
+
+    Interval ends are compared in units of gamma = 1 - c kappa, where the
+    solve's floor and Newton steps leave them within 1e-7 * scale. decompose
+    must give the least lam the oracle allows (lam = sqrt|det K| on one mode),
+    at a c = +-1 / lam**2 inside the interval.
+    """
+    g2g, cp, interval, factor = homogeneous_oracle(gmap.K, gmap.alpha)
+    delta = standard_form(gmap.n)
+    kappa = float(np.sum(delta_K(gmap) * delta) / np.sum(delta * delta))
+    slack = 1e-7 * _tol_scale(gmap) / abs(kappa)
+    report = classify(gmap, tol=tol)
+    assert (report.is_g2g, report.is_cp) == (g2g, cp)
+    assert (is_g2g(gmap, tol=tol), is_cp(gmap, tol=tol)) == (g2g, cp)
+    if g2g and not cp:
+        assert report.interval == pytest.approx(interval, abs=slack)
+    if not g2g:
+        with pytest.raises(_NotG2G):
+            decompose(gmap, tol=tol)
+        return
+    nf = decompose(gmap, tol=tol)
+    assert nf is not None
+    c = (-1.0 if nf.transposed else 1.0) / nf.lam**2
+    assert interval[0] - slack <= c <= interval[1] + slack
+    lam = max(1.0, math.sqrt(abs(np.linalg.det(gmap.K)))) if gmap.n == 1 else factor[0]
+    assert nf.lam == pytest.approx(lam, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_homogeneous_maps_match_the_exact_oracle(n):
+    """On maps with K D K^T = kappa D and alpha >= 0 the verdicts, the
+    feasible interval and the factor of decompose have a closed form."""
+    tol = 1e-9
+    for gmap in _homogeneous_corpus(n, np.random.default_rng(60 + n), tol):
+        _check_homogeneous(gmap, tol)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: verdicts and factors go wrong at large |K|")
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_large_homogeneous_maps_match_the_exact_oracle(n):
+    """The same oracle from kappa = 1e8 up, K = 1e8 I on n modes included:
+    every n has maps called not G2G that are dilatations."""
+    rng = np.random.default_rng(70 + n)
+    cases = [GaussianMap(K=1e8 * np.eye(2 * n), alpha=np.zeros((2 * n, 2 * n)))]
+    for kappa in (1e8, -1e12, 1e16, -1e16, 1e24, 1e100, -1e300):
+        cases += [_homogeneous_map(rng, n, kappa)[0], _homogeneous_map(rng, n, kappa, 0.5)[0]]
+    for gmap in cases:
+        _check_homogeneous(gmap, 1e-9)

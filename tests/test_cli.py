@@ -14,6 +14,7 @@ from gaussmap import (
     GaussianMap,
     GaussianState,
     apply_map,
+    classify,
     decompose,
     dilatation,
     partial_transpose_example,
@@ -59,6 +60,10 @@ def fixtures(tmp_path):
     # K D K.T overflows double precision: no verdict can be given.
     gmap("huge1.json", GaussianMap(K=1e154 * np.eye(2), alpha=np.zeros((2, 2))))
     gmap("huge2.json", GaussianMap(K=1e154 * np.eye(4), alpha=np.zeros((4, 4))))
+    # K sigma K.T overflows double precision on any state.
+    gmap("huger2.json", GaussianMap(K=1e155 * np.eye(4), alpha=np.zeros((4, 4))))
+    # Noise near the largest double, whose symmetric part must not overflow.
+    gmap("bigalpha.json", GaussianMap(K=np.eye(2), alpha=1.7e308 * np.eye(2)))
     broken = tmp_path / "broken.json"
     broken.write_text("{ not json")
     paths["broken.json"] = str(broken)
@@ -549,6 +554,7 @@ def test_file_command_report_header(fixtures, tmp_path, command):
         ["probe", "--weights", "0,1", "--lambda", "nan"],
         ["limit-check", "--lambda", "nan", "--k", "1", "--m-list", "10"],
         ["limit-check", "--lambda", "2", "--k", "1", "--m-list", ","],
+        ["apply", "huger2.json", "vac2.json"],
     ],
 )
 def test_exit_1_writes_no_report(fixtures, tmp_path, capsys, argv):
@@ -691,6 +697,9 @@ _ONE_MODE_MAP = {"n": 1, "K": [[2.0, 0.0], [0.0, 2.0]], "alpha": [[0.0, 0.0], [0
         ({**_ONE_MODE_MAP, "n": "1"}, "field 'n' must be a positive integer"),
         ({**_ONE_MODE_MAP, "n": 2}, "field 'K' has shape (2, 2), expected (4, 4)"),
         ({**_ONE_MODE_MAP, "alpha": [[1.0, 0.5], [0.0, 1.0]]}, "alpha must be symmetric within tolerance 1e-09"),
+        ({**_ONE_MODE_MAP, "format_version": 2}, "unsupported format_version 2"),
+        ({**_ONE_MODE_MAP, "format_version": True}, "unsupported format_version True"),
+        ({**_ONE_MODE_MAP, "format_version": 1.0}, "unsupported format_version 1.0"),
     ],
 )
 @pytest.mark.parametrize("command", ["classify", "decompose"])
@@ -703,6 +712,71 @@ def test_malformed_map_file_fails_with_one_line(tmp_path, capsys, doc, message, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{command}: {p}: {message}\n"
+
+
+_ONE_MODE_STATE = {"n": 1, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": 1, "mean": [0.0, 0.0]}, "missing field 'cov'"),
+        ([1, 2], "top level must be a JSON object"),
+        ({**_ONE_MODE_STATE, "n": True}, "field 'n' must be a positive integer"),
+        ({**_ONE_MODE_STATE, "cov": [[1.0, 0.5], [0.0, 1.0]]}, "cov must be symmetric within tolerance 1e-09"),
+        ({**_ONE_MODE_STATE, "format_version": 2}, "unsupported format_version 2"),
+        ({**_ONE_MODE_STATE, "format_version": True}, "unsupported format_version True"),
+        ({**_ONE_MODE_STATE, "format_version": 1.0}, "unsupported format_version 1.0"),
+    ],
+)
+def test_malformed_state_file_fails_with_one_line(fixtures, tmp_path, capsys, doc, message):
+    """State files go through the map files' opener: each schema error is
+    exit 1 and one stderr line that names the file, for validate and apply."""
+    p = tmp_path / "state.json"
+    p.write_text(json.dumps(doc))
+    for argv in (["validate", str(p)], ["apply", fixtures["dil2.json"], str(p)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{argv[0]}: {p}: {message}\n"
+
+
+def test_apply_output_near_the_largest_double(fixtures, capsys):
+    """The output covariance's symmetric part is halved before it is summed:
+    K = 1e154 I on the two-mode vacuum gives the finite 1e308 I and noise of
+    1.7e308 I prints no inf, each with exit 0 and nothing on stderr. K = 1e155 I
+    overflows, and its one line names max |K|."""
+    for name, state in (("huge2.json", "vac2.json"), ("bigalpha.json", "vacuum.json")):
+        assert main(["apply", fixtures[name], fixtures[state]]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "inf" not in captured.out
+        assert captured.out.endswith("\nvalid\n")
+    assert main(["apply", fixtures["huger2.json"], fixtures["vac2.json"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "apply: output moments are not finite in double precision (max |K| = 1.000e+155)\n"
+
+
+def test_noise_near_the_largest_double_gets_a_verdict(fixtures, capsys):
+    """alpha = 1.7e308 I is stored finite, so classify decides the map
+    (completely positive) where it once failed on an infinite alpha."""
+    assert np.isfinite(load_map(fixtures["bigalpha.json"]).alpha).all()
+    assert main(["classify", fixtures["bigalpha.json"]]) == 0
+    captured = capsys.readouterr()
+    assert "method: cp_implies_g2g\n" in captured.out and captured.err == ""
+
+
+def test_reports_write_complex_arrays_interleaved(fixtures, tmp_path):
+    """The writer turns a complex array into [re w_1, im w_1, ...]: a classify
+    report's witness direction is the library's witness, interleaved."""
+    p = tmp_path / "report.json"
+    write_report(p, {"w": np.array([1 + 2j, complex(-0.0, 3.0)]), "rows": np.array([[1j, 2], [3, 4j]])[:, 0]})
+    doc = json.loads(p.read_text())
+    assert doc["w"] == [1.0, 2.0, -0.0, 3.0] and str(doc["w"][2]) == "-0.0"
+    assert doc["rows"] == [0.0, 1.0, 3.0, 0.0]
+    assert main(["classify", fixtures["dil05.json"], "--report", str(p)]) == 2
+    w = classify(dilatation(0.5, 1)).witness.w
+    assert json.loads(p.read_text())["witness"]["direction"] == [x for z in w for x in (z.real, z.imag)]
 
 
 @pytest.mark.parametrize("eps", ["0", "-1"])

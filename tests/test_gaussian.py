@@ -132,6 +132,24 @@ def test_apply_map_moments_names_mean_and_cov_shapes_when_they_disagree():
     )
 
 
+def test_apply_map_moments_near_the_largest_double():
+    """The output covariance is formed under np.errstate, its symmetric part
+    halved before it is summed: K = 1e154 I on the two-mode vacuum gives a
+    finite 1e308 I, and noise of 1.7e308 I stays 1.7e308 I, with no warning
+    (the suite turns a RuntimeWarning into an error). An output that is not
+    finite, in its covariance or its mean, raises a ValueError naming max |K|."""
+    _, cov = apply_map_moments(dilatation(1e154, 2), np.zeros(4), np.eye(4))
+    assert np.array_equal(cov, np.diag(np.full(4, 1e154 * 1e154)))
+    big = GaussianMap(K=np.eye(2), alpha=1.7e308 * np.eye(2))
+    assert np.array_equal(apply_map(big, vacuum())[1], 1.7e308 * np.eye(2))
+    for mean, cov in ((np.zeros(4), np.eye(4)), (np.full(4, 1e200), np.zeros((4, 4)))):
+        with pytest.raises(ValueError) as raised:
+            apply_map_moments(dilatation(1e155, 2), mean, cov)
+        assert str(raised.value) == "output moments are not finite in double precision (max |K| = 1.000e+155)"
+    with pytest.raises(ValueError, match="max \\|K\\| = 1.000e\\+00"):
+        apply_map(big, GaussianState(mean=np.zeros(2), cov=1e308 * np.eye(2)))
+
+
 def test_apply_map_char_identity_passthrough():
     rng = np.random.default_rng(31)
     state = GaussianState(mean=rng.standard_normal(2), cov=random_valid_cov(1, rng))

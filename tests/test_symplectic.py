@@ -332,3 +332,27 @@ def test_tol_must_be_finite_and_nonnegative(name, tol):
         call(arg, tol=tol)
     assert str(raised.value) == f"tol must be a finite number >= 0, got {tol!r}"
     assert call(arg, tol=0.0) is not None
+
+
+def test_symmetric_part_is_halved_before_it_is_summed():
+    """0.5 sigma + 0.5 sigma.T stays finite for every finite sigma, where
+    0.5 (sigma + sigma.T) overflows from about 9e307: a map with alpha =
+    1.7e308 I keeps it, and an antisymmetric matrix of that size is still
+    refused, with no warning. Halving is exact, so elsewhere the part and the
+    verdict are bit for bit those of the unhalved sums."""
+    big = 1.7e308 * np.eye(2)
+    assert np.array_equal(GaussianMap(K=np.eye(2), alpha=big).alpha, big)
+    with pytest.raises(ValueError, match="^sigma must be symmetric"):
+        _check_symmetric(1.7e308 * standard_form(1), 1e-9)
+    rng = np.random.default_rng(26)
+    for d in (2, 4, 8):
+        for size in (1e-10, 1e-9, 1e-8):
+            sigma = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-3, 3)
+            sigma = sigma + sigma.T
+            sigma[0, -1] += size * np.abs(sigma).max()
+            tol_scale = 1e-9 * max(1.0, np.abs(sigma).max())
+            if np.abs(sigma - sigma.T).max() > tol_scale:
+                with pytest.raises(ValueError):
+                    _check_symmetric(sigma, 1e-9)
+            else:
+                assert np.array_equal(_check_symmetric(sigma, 1e-9), 0.5 * (sigma + sigma.T))
