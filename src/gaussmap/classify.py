@@ -265,22 +265,27 @@ def _max_h_witness(gmap, G, v_l, v_r):
     direction goes below h_max, so the candidate with the smallest
     objective, recomputed from gmap by direction_margin, is kept.
 
+    The arithmetic runs under np.errstate: at a large |K| (K = 1e150 I)
+    the products overflow, and the objective comes out infinite or NaN
+    with no RuntimeWarning, for _classify to refuse.
+
     Returns:
         (w, direction_margin(gmap, w)).
     """
-    overlap = np.vdot(v_l, v_r)
-    if abs(overlap) > 0.0:
-        v_r = v_r * (np.conj(overlap) / abs(overlap))
-    k_l, k_r = np.vdot(v_l, G @ v_l).real, np.vdot(v_r, G @ v_r).real
-    candidates = [v_l, v_r]
-    if k_l < 0.0 < k_r:
-        # k(v_l + t v_r) = k_l + 2 t x + t**2 k_r has one root t > 0.
-        x = np.vdot(v_l, G @ v_r).real
-        root = math.sqrt(x * x - k_l * k_r)
-        t = -k_l / (x + root) if x > 0.0 else (root - x) / k_r
-        w = v_l + t * v_r
-        candidates.append(w / np.linalg.norm(w))
-    return min(((w, direction_margin(gmap, w)) for w in candidates), key=lambda p: p[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlap = np.vdot(v_l, v_r)
+        if abs(overlap) > 0.0:
+            v_r = v_r * (np.conj(overlap) / abs(overlap))
+        k_l, k_r = np.vdot(v_l, G @ v_l).real, np.vdot(v_r, G @ v_r).real
+        candidates = [v_l, v_r]
+        if k_l < 0.0 < k_r:
+            # k(v_l + t v_r) = k_l + 2 t x + t**2 k_r has one root t > 0.
+            x = np.vdot(v_l, G @ v_r).real
+            root = math.sqrt(x * x - k_l * k_r)
+            t = -k_l / (x + root) if x > 0.0 else (root - x) / k_r
+            w = v_l + t * v_r
+            candidates.append(w / np.linalg.norm(w))
+        return min(((w, direction_margin(gmap, w)) for w in candidates), key=lambda p: p[1])
 
 
 def _least_eig_test(matrix, scale, tol):
@@ -339,8 +344,11 @@ def is_g2g(gmap, tol=DEFAULT_TOL):
 
     Returns:
         True or False.
+
+    Raises:
+        ValueError: for the maps classify refuses.
     """
-    return _classify(gmap, *_h_forms(gmap), tol)[0].is_g2g
+    return classify(gmap, tol).is_g2g
 
 
 def classify(gmap, tol=DEFAULT_TOL):
@@ -351,40 +359,47 @@ def classify(gmap, tol=DEFAULT_TOL):
     an eigenvalue below -atol, whose real eigenvector is the witness;
     otherwise solve_h decides by h_max >= -tol * _scale(sizes, c_star),
     from the size of A - c_star G, and a False verdict takes its witness
-    from _max_h_witness. For one mode D_K = det K D, so this reproduces
-    the determinant test alpha >= 0 and sqrt(det alpha) >= 1 - |det K|. The
+    from _max_h_witness; a witness that neither proves the verdict nor
+    attains h_max would contradict it, so the map is refused as
+    undecidable (see _classify).
+    For one mode D_K = det K D, so this reproduces the determinant test
+    alpha >= 0 and sqrt(det alpha) >= 1 - |det K|. The
     forms of h are built once and shared by every step, and the eigh of
     A - G that tests complete positivity is the solve's cut at c = 1. A
     False verdict carries a violating direction, and a verdict from
     solve_h carries its certificate (see ClassificationReport).
     """
-    A, G, sizes = _h_forms(gmap)
-    report, _, bracket = _classify(gmap, A, G, sizes, tol)
-    if bracket is not None:
-        w, objective = _max_h_witness(gmap, G, *bracket)
-        report.witness, report.margin = Witness(w=w, objective=objective), objective
-    return report
+    return _classify(gmap, *_h_forms(gmap), tol)[0]
 
 
 def _classify(gmap, A, G, sizes, tol):
-    """classify on the forms of _h_forms, without the witness of solve_h.
+    """classify on the forms of _h_forms.
 
     Returns:
-        (report, ends, bracket). For a G2G verdict, ends = ((c_lo, h(c_lo)),
+        (report, ends). For a G2G verdict, ends = ((c_lo, h(c_lo)),
         (c_hi, h(c_hi))) are the points decompose factors at, with the values
         of h already computed there: (1, 1) for a CP map, the feasible
         interval, or (c_star, c_star) when h_max passes the verdict but not
-        the solve's floor; None for a False verdict. When solve_h rejects,
-        bracket is its final bracket (v_lo, v_hi) and the report's witness
-        and margin are None, for classify to fill from _max_h_witness;
-        otherwise bracket is None.
+        the solve's floor; None for a False verdict.
+
+    Raises:
+        ValueError: when solve_h rejects but the witness of _max_h_witness
+        neither proves the map not G2G (a negative objective) nor attains
+        h_max to its own accuracy, _WITNESS_STEP**2 * _scale(sizes, c_star);
+        a NaN objective does neither. Such a witness contradicts the
+        verdict: on two modes the dilatation K = 1e8 I gets h_max = -1 and
+        a witness of objective 0, and K = 1e150 I one of +1e300. A map at
+        the verdict's boundary keeps its verdict: its witness is negative
+        (just above -tol * _scale(sizes, c_star)), or at tol = 0 within
+        that accuracy of h_max. Besides the refusals of delta_K and
+        _least_eig_test.
     """
     scale = _scale(sizes)
     (w_a, v_a), classical = _least_eig_test(gmap.alpha, scale, tol)
     at_one, cp = _least_eig_test(A - G, scale, tol)
     report = partial(ClassificationReport, is_cp=cp, is_classical_g2g=classical)
     if cp:
-        return report(is_g2g=True, method="cp_implies_g2g", c_star=1.0), ((1.0, float(at_one[0][0])),) * 2, None
+        return report(is_g2g=True, method="cp_implies_g2g", c_star=1.0), ((1.0, float(at_one[0][0])),) * 2
     if not classical:
         a_min = float(w_a[0])
         return report(
@@ -392,12 +407,20 @@ def _classify(gmap, A, G, sizes, tol):
             witness=Witness(w=v_a[:, 0].astype(complex), objective=a_min),
             margin=a_min,
             method="negative_alpha",
-        ), None, None
+        ), None
     solution, bracket, ends = _solve_h(A, G, scale, at_one)
-    if solution.h_max >= -tol * _scale(sizes, solution.c_star):
+    atol = tol * _scale(sizes, solution.c_star)
+    if solution.h_max >= -atol:
         ends = ends or ((solution.c_star, solution.h_max),) * 2
-        return report(is_g2g=True, margin=max(solution.h_max, 0.0), **vars(solution)), ends, None
-    return report(is_g2g=False, **vars(solution)), None, bracket
+        return report(is_g2g=True, margin=max(solution.h_max, 0.0), **vars(solution)), ends
+    w, objective = _max_h_witness(gmap, G, *bracket)
+    attained = solution.h_max + _WITNESS_STEP**2 * _scale(sizes, solution.c_star)
+    if not (objective < 0.0 or objective <= attained):
+        raise ValueError(
+            "map cannot be decided in double precision: h_max = "
+            f"{solution.h_max:.3e} is below -{atol:.3e}, but its witness has objective {objective:.3e}"
+        )
+    return report(is_g2g=False, witness=Witness(w=w, objective=objective), margin=objective, **vars(solution)), None
 
 
 def rescale_domain(gmap, mu):
@@ -546,10 +569,10 @@ def decompose(gmap, tol=DEFAULT_TOL):
         reason (for a noiseless map: K D K.T is not proportional to D, or
         its scale is below 1), as the private subclass _NotG2G; as a plain
         ValueError for a bad tol or a map that cannot be decided in double
-        precision (see delta_K and _least_eig_test).
+        precision (see delta_K, _least_eig_test and _classify).
     """
     A, G, sizes = _h_forms(gmap)
-    report, ends, _ = _classify(gmap, A, G, sizes, tol)
+    report, ends = _classify(gmap, A, G, sizes, tol)
     noiseless = sizes[0] <= tol * _scale(sizes)
     if not report.is_g2g:
         reason = _noiseless_rejection(gmap, G, sizes, tol) if noiseless else "no normal form exists"

@@ -22,11 +22,13 @@ one eighth of the circle only; the rest of the half circle is their
 exact reflections (`_half_circle`). Single rows, norm sums and sweeps
 share one row builder, `_rows`: it transforms consecutive rows in
 blocks of `_SWEEP_BLOCK` that share one grid, where row m's samples are
-row m - 1's times s, and a single row is a block of one. Mixtures go
-through `_fft_coefficients`, which evaluates the polynomial by Horner's
-rule. The returned tail bound covers the analytic tail beyond the
-cutoff, the aliasing of the FFT and its rounding
-(`_rounding_allowance`).
+row m - 1's times s, and a single row is a block of one. A block's
+samples and transform are formed in batches of at most `_BATCH_BYTES`,
+so besides the rows it returns a sweep holds one grid and one batch,
+whatever the FFT length. Mixtures go through `_fft_coefficients`, which
+evaluates the polynomial by Horner's rule. The returned tail bound
+covers the analytic tail beyond the cutoff, the aliasing of the FFT and
+its rounding (`_rounding_allowance`).
 """
 
 import math
@@ -376,8 +378,12 @@ def _fft_coefficients(weights, tau, n_cut):
     return coeffs, _rounding_allowance(tau, weight_l1, m_top, length, n_cut)
 
 
-# Rows that share one grid and one transform.
+# Rows that share one grid.
 _SWEEP_BLOCK = 16
+# Bytes of samples and transform held at once: a row takes 32 L bytes at FFT
+# length L (L / 2 + 1 complex long-double samples and L long-double outputs),
+# so a block of 16 rows fits up to L = 2048.
+_BATCH_BYTES = 1 << 20
 
 
 def _rows(m_lo, m_hi, tau, eps):
@@ -387,12 +393,23 @@ def _rows(m_lo, m_hi, tau, eps):
 
     Each row is cut at its own certified cutoff (`_sweep_cutoffs`). Blocks
     of `_SWEEP_BLOCK` rows share one grid, of the `_fft_length` L of the
-    block's largest N_m and top row, so L > N_m for each, and one irfft
-    along the rows. As g_m = g_0 s^m, the first row m0 of a block has the
-    samples g_0 s^m0, by binary powering, and each later row's are the row
-    before times s. Row m's samples thus pass the factor g_0 and products
-    by powers of s whose exponents add up to m, so its allowance is the one
-    `_fft_coefficients` derives for the weights e_m.
+    block's largest N_m and top row, so L > N_m for each. As g_m = g_0 s^m,
+    the first row m0 of a block has the samples g_0 s^m0, by binary
+    powering, and each later row's are the row before times s. Row m's
+    samples thus pass the factor g_0 and products by powers of s whose
+    exponents add up to m, so its allowance is the one `_fft_coefficients`
+    derives for the weights e_m.
+
+    A block's samples and transform are formed in batches of as many rows
+    as fit in `_BATCH_BYTES` (at least one), in one sample buffer, with
+    one irfft along the rows of each batch; a batch's first row is the
+    previous batch's last times s. So the memory held besides the rows
+    handed out is one grid and one batch of samples and transform, at most
+    `_BATCH_BYTES` (one row's where a row alone needs more), and the
+    previous batch's transform while the next one is made. Each row gets
+    the same products and its own transform in any batching, so the rows
+    do not depend on `_BATCH_BYTES`, and a block that fits in one batch
+    is formed exactly as a whole block is.
     """
     if tau == 0.0:
         for m in range(m_lo, m_hi + 1):
@@ -404,19 +421,27 @@ def _rows(m_lo, m_hi, tau, eps):
     for j0 in range(0, len(cuts), _SWEEP_BLOCK):
         block, m0 = cuts[j0 : j0 + _SWEEP_BLOCK], m_lo + j0
         length = _fft_length(max(n for n, _ in block), m0 + len(block) - 1, tau)
+        batch = min(len(block), max(1, _BATCH_BYTES // (32 * length)))
         s, g_0 = _grid_samples(length, tau)
-        acc = np.empty((len(block), s.size), dtype=np.clongdouble)
+        acc = np.empty((batch, s.size), dtype=np.clongdouble)
         acc[0] = g_0
         _times_power(acc[0], s, m0)
-        for i in range(1, len(block)):
-            np.multiply(acc[i - 1], s, out=acc[i])
-        coeffs = np.fft.irfft(acc, length, axis=1)
-        # Free the samples before handing out rows, so that the next
-        # block's buffers are not allocated next to them.
-        del s, g_0, acc
-        for i, (n_cut, tail) in enumerate(block):
-            rounding = _rounding_allowance(tau, 1.0, m0 + i, length, n_cut)
-            yield m0 + i, coeffs[i, : n_cut + 1], n_cut, tail + rounding
+        for i0 in range(0, len(block), batch):
+            rows = block[i0 : i0 + batch]
+            if i0:
+                # The previous batch was full: its last row times s is this one's first.
+                np.multiply(acc[-1], s, out=acc[0])
+            for i in range(1, len(rows)):
+                np.multiply(acc[i - 1], s, out=acc[i])
+            coeffs = np.fft.irfft(acc[: len(rows)], length, axis=1)
+            if i0 + batch >= len(block):
+                # Free the samples before handing out the block's last rows,
+                # so that the next block's buffers are not allocated next to them.
+                del s, g_0, acc
+            for i, (n_cut, tail) in enumerate(rows):
+                m = m0 + i0 + i
+                rounding = _rounding_allowance(tau, 1.0, m, length, n_cut)
+                yield m, coeffs[i, : n_cut + 1], n_cut, tail + rounding
 
 
 @dataclass
@@ -524,11 +549,13 @@ def dilated_fock_sweep(m_max, lam, eps=DEFAULT_EPS):
 
     Each row is cut at its own certified cutoff; one pass over m finds
     them all (`_sweep_cutoffs`). The rows are those of single rows,
-    computed in blocks of `_SWEEP_BLOCK` that share one grid and one
-    transform (`_rows`), so a sweep costs O(N log N) long-double work per
-    row, N the largest cutoff of its block, and its memory is the float64
-    rows plus one block. As for a single row, tail_bound is the analytic
-    tail plus the FFT's rounding allowance plus the float64 allowance.
+    computed in blocks of `_SWEEP_BLOCK` that share one grid (`_rows`), so
+    a sweep costs O(N log N) long-double work per row, N the largest
+    cutoff of its block. Its memory is the float64 rows, one grid, and
+    batches of at most `_BATCH_BYTES` (1 MiB) of samples and transform,
+    or of one row where a row alone needs more. As for a single row,
+    tail_bound is the analytic tail plus the FFT's rounding allowance
+    plus the float64 allowance.
     """
     return list(_fock_coefficients(0, m_max, lam, eps))
 

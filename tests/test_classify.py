@@ -337,6 +337,43 @@ def test_map_beyond_double_precision_gets_no_verdict(n):
         assert not isinstance(raised.value, _NotG2G)
 
 
+@pytest.mark.parametrize("k, objective", [(1e8, r"0.000e\+00"), (1e150, r"1.000e\+300")])
+def test_false_verdict_contradicting_its_witness_gets_no_verdict(k, objective):
+    """K = k I on two modes is a dilatation, so G2G, but the solve of h
+    rejects it with h_max = -1 and a witness whose objective is 0 or
+    +1e300: classify, is_g2g and decompose refuse the map as undecidable,
+    with no RuntimeWarning on the way and not with decompose's not-G2G
+    refusal."""
+    gmap = GaussianMap(K=k * np.eye(4), alpha=np.zeros((4, 4)))
+    message = (
+        r"^map cannot be decided in double precision: h_max = -1.000e\+00 is below"
+        rf" -1.000e-09, but its witness has objective {objective}$"
+    )
+    for call in (classify, is_g2g, decompose):
+        with pytest.raises(ValueError, match=message) as raised:
+            call(gmap)
+        assert not isinstance(raised.value, _NotG2G)
+    assert (is_cp(gmap), is_classical_g2g(gmap)) == (False, True)
+
+
+@pytest.mark.parametrize("scale", [1e8, 1e10, 1e14])
+def test_large_one_mode_maps_get_no_false_verdict(scale):
+    """One-mode maps K = scale N(0, 1), alpha = R R^T are all G2G (alpha >= 0
+    and |det K| >= 1). At these scales the solve of h rejects many of them,
+    and each such rejection is refused as undecidable, not reported."""
+    rng = np.random.default_rng(5)
+    refused = 0
+    for _ in range(100):
+        K, R = scale * rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+        gmap = GaussianMap(K=K, alpha=R @ R.T)
+        try:
+            assert is_g2g(gmap)
+        except ValueError as error:
+            assert str(error).startswith("map cannot be decided in double precision: h_max")
+            refused += 1
+    assert refused > 0
+
+
 @pytest.mark.parametrize("failing_call", [1, 2, 3])
 @pytest.mark.parametrize("failure", ["LinAlgError", "nan"])
 def test_failed_eigensolve_gets_no_verdict(monkeypatch, failure, failing_call):
@@ -574,8 +611,9 @@ def test_predicates_agree_with_classify_at_the_boundaries(n):
 def test_classify_computes_delta_K_once_per_decision(monkeypatch):
     """Every exit of classify shares one K D K^T; only the witness check,
     direction_margin, computes it again from the map. is_g2g and
-    decompose report no witness, so they build none: one K D K^T and no
-    direction_margin on every map. A noiseless decompose reads its
+    decompose check the witness of a False verdict of the solve too, with
+    the same calls as classify, and make one K D K^T and no
+    direction_margin on every other map. A noiseless decompose reads its
     proportionality off the same one."""
     module = importlib.import_module("gaussmap.classify")
     calls = {"delta_K": 0, "direction_margin": 0}
@@ -601,16 +639,17 @@ def test_classify_computes_delta_K_once_per_decision(monkeypatch):
         assert calls["delta_K"] == 1 + calls["direction_margin"]
         solved_false = method == "concave_h_maximum" and not verdict
         assert calls["direction_margin"] >= 2 if solved_false else calls["direction_margin"] == 0
+        classify_calls = dict(calls)
         calls.update(delta_K=0, direction_margin=0)
         assert module.is_g2g(gmap) is verdict
-        assert calls == {"delta_K": 1, "direction_margin": 0}
+        assert calls == classify_calls
         calls.update(delta_K=0, direction_margin=0)
         if verdict:
             module.decompose(gmap)
         else:
             with pytest.raises(ValueError, match="not Gaussian-to-Gaussian"):
                 module.decompose(gmap)
-        assert calls == {"delta_K": 1, "direction_margin": 0}
+        assert calls == classify_calls
     calls.update(delta_K=0, direction_margin=0)
     K = 3.0 * random_symplectic(2, np.random.default_rng(5))
     nf = module.decompose(GaussianMap(K=K, alpha=np.zeros((4, 4))))

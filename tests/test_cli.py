@@ -60,6 +60,8 @@ def fixtures(tmp_path):
     # K D K.T overflows double precision: no verdict can be given.
     gmap("huge1.json", GaussianMap(K=1e154 * np.eye(2), alpha=np.zeros((2, 2))))
     gmap("huge2.json", GaussianMap(K=1e154 * np.eye(4), alpha=np.zeros((4, 4))))
+    # A dilatation whose solve of h rejects it, with a witness of objective +1e300.
+    gmap("huge150.json", GaussianMap(K=1e150 * np.eye(4), alpha=np.zeros((4, 4))))
     # K sigma K.T overflows double precision on any state.
     gmap("huger2.json", GaussianMap(K=1e155 * np.eye(4), alpha=np.zeros((4, 4))))
     # Noise near the largest double, whose symmetric part must not overflow.
@@ -555,6 +557,8 @@ def test_file_command_report_header(fixtures, tmp_path, command):
         ["limit-check", "--lambda", "nan", "--k", "1", "--m-list", "10"],
         ["limit-check", "--lambda", "2", "--k", "1", "--m-list", ","],
         ["apply", "huger2.json", "vac2.json"],
+        ["classify", "huge150.json"],
+        ["decompose", "huge150.json"],
     ],
 )
 def test_exit_1_writes_no_report(fixtures, tmp_path, capsys, argv):

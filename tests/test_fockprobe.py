@@ -11,11 +11,13 @@ from gaussmap import (
     airy_limit_error,
     dilated_fock_coefficients,
     dilated_fock_sweep,
+    fockprobe,
     hs_norm_check,
     probe_fock_mixture,
     trace_norm_sum,
 )
 from gaussmap.fockprobe import (
+    _BATCH_BYTES,
     _MAX_TAIL_N,
     _PI_L,
     _SWEEP_BLOCK,
@@ -541,24 +543,53 @@ def test_sweep_m500_memory():
     assert peak < 80e6
 
 
-def test_sweep_m500_memory_is_rows_plus_block():
-    """At M = 500, lam = 3 the working memory is the returned rows (22 MB)
-    plus one block: the samples and the transform of 16 rows at the top
-    row's FFT length, and the grid (7.4 MB), not an (M + 1) x (N + 1)
-    table."""
+def _sweep_peak_beyond_rows(m_max, lam):
+    """tracemalloc peak of dilated_fock_sweep(m_max, lam) minus the bytes of its rows."""
     tracemalloc.start()
     try:
-        rows = dilated_fock_sweep(500, 3.0)
+        rows = dilated_fock_sweep(m_max, lam)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    row_bytes = sum(fc.coeffs.nbytes for fc in rows)
-    assert peak <= row_bytes + 10e6
+    return peak - sum(fc.coeffs.nbytes for fc in rows)
+
+
+def test_sweep_m500_memory_is_rows_plus_block():
+    """At M = 500, lam = 3 the working memory is the returned rows (22 MB)
+    plus one grid of the top block's FFT length (L = 11520, 0.4 MB) and at
+    most _BATCH_BYTES of samples and transform, not an (M + 1) x (N + 1)
+    table: 1.5 MB beyond the rows, where holding all 16 rows of a block
+    at once took 7.5 MB."""
+    assert _sweep_peak_beyond_rows(500, 3.0) <= 4e6
+
+
+def test_sweep_working_memory_is_bounded():
+    """At lam = 10 the FFT length reaches 25600 by M = 60, where the 16
+    rows of a block take 13 MB of samples and transform: transformed at
+    once they made a peak 14.6 MB above the rows, and in batches of
+    _BATCH_BYTES the peak is 2.0 MB above them."""
+    assert _sweep_peak_beyond_rows(60, 10.0) <= 5e6
+
+
+@pytest.mark.parametrize("lam, m_max", [(10.0, 40), (3.0, 40), (-2.0, 20)])
+def test_rows_do_not_depend_on_the_batch_size(monkeypatch, lam, m_max):
+    """Each row passes the same products and its own transform in any
+    batching of its block: one row per batch, the default _BATCH_BYTES and
+    a whole block per batch give the same long-double rows and bounds."""
+    tau = _tau_of(lam)
+    default = list(_rows(0, m_max, tau, 1e-12))
+    for batch_bytes in (1, 1 << 40):
+        monkeypatch.setattr(fockprobe, "_BATCH_BYTES", batch_bytes)
+        rows = list(_rows(0, m_max, tau, 1e-12))
+        assert [(m, n, b) for m, _, n, b in rows] == [(m, n, b) for m, _, n, b in default]
+        assert all(np.array_equal(r[1], d[1]) for r, d in zip(rows, default))
 
 
 # m_max with the last row at the end of a block of _SWEEP_BLOCK = 16 rows
 # (15, 31), one row past it (16, 32) and two rows past it (17); 0 is a
-# sweep of one row.
+# sweep of one row. At lam = 10 the last block splits into batches
+# (test_batch_edge_cases_split_their_blocks): m_max = 9 and 21 end at a
+# batch edge, 10 and 22 one row past one, and 7 two rows past one.
 SWEEP_BLOCK_CASES = [
     (0, 1.2, 1e-12),
     (15, 2.0, 1e-12),
@@ -566,15 +597,43 @@ SWEEP_BLOCK_CASES = [
     (17, 2.5, 1e-12),
     (31, 1.1, 1e-6),
     (32, -2.0, 1e-12),
+    (7, 10.0, 1e-12),
+    (9, 10.0, 1e-12),
+    (10, 10.0, 1e-12),
+    (21, 10.0, 1e-12),
+    (22, 10.0, 1e-12),
 ]
+
+
+def _batch_sizes(m_max, lam, eps):
+    """Rows in each batch of each block of dilated_fock_sweep(m_max, lam, eps):
+    as many as fit in _BATCH_BYTES at 32 L bytes a row, and at least one."""
+    tau = _tau_of(lam)
+    cuts = _sweep_cutoffs(range(m_max + 1), tau, eps)
+    sizes = []
+    for j0 in range(0, m_max + 1, _SWEEP_BLOCK):
+        rows = len(cuts[j0 : j0 + _SWEEP_BLOCK])
+        batch = max(1, _BATCH_BYTES // (32 * _block_length(tau, cuts, 0, j0)))
+        sizes.append([min(batch, rows - i) for i in range(0, rows, batch)])
+    return sizes
+
+
+def test_batch_edge_cases_split_their_blocks():
+    """Every block of the table case lam = 10, M = 37 is split into batches,
+    and the last block of each batch-edge case ends where the comment on
+    SWEEP_BLOCK_CASES says."""
+    assert _BATCH_BYTES == 1 << 20 and (10.0, 37) in SWEEP_TABLE_CASES
+    assert _batch_sizes(37, 10.0, 1e-12) == [[4] * 4, [2] * 8, [1] * 6]
+    last = {m: _batch_sizes(m, 10.0, 1e-12)[-1] for m in (7, 9, 10, 21, 22)}
+    assert last == {7: [6, 2], 9: [5, 5], 10: [5, 5, 1], 21: [3, 3], 22: [3, 3, 1]}
 
 
 @pytest.mark.parametrize("m_max, lam, eps", SWEEP_BLOCK_CASES)
 def test_sweep_rows_equal_coefficient_table_at_block_edges(m_max, lam, eps):
-    """Rows at and past the edges of a block equal the reference table's
-    within their tail_bound, which is the analytic tail plus the rounding
-    allowance at the FFT length of the row's block, set by its top row,
-    plus the float64 allowance."""
+    """Rows at and past the edges of a block or of a batch within it equal
+    the reference table's within their tail_bound, which is the analytic
+    tail plus the rounding allowance at the FFT length of the row's block,
+    set by its top row, plus the float64 allowance."""
     assert _SWEEP_BLOCK == 16
     tau = _tau_of(lam)
     cuts = _sweep_cutoffs(range(m_max + 1), tau, eps)
