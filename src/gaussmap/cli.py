@@ -2,7 +2,9 @@
 
 Subcommands: validate, classify, decompose, apply, probe, limit-check.
 `gaussmap --help` lists them, `gaussmap COMMAND --help` gives one
-command's arguments; each call builds only its command's parser.
+command's arguments. Each command's parser is built on its first call
+and reused by later calls in the same process, which helps in-process
+callers of main, not one-shot shell runs.
 Human-readable summaries go to standard output, machine-readable
 reports to files (--report / --csv), diagnostics to standard error.
 
@@ -31,6 +33,7 @@ Gaussian-to-Gaussian; 4 no decomposition exists.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -254,21 +257,28 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser(name):
+    """The parser of command name alone, the twin of its subparser in build_parser."""
+    parser = argparse.ArgumentParser(prog=f"gaussmap {name}")
+    COMMANDS[name][1](parser)
+    return parser
+
+
 def main(argv=None):
-    # A known command builds only its own parser, the twin of its subparser
-    # in build_parser, and its handler's refusals end here with exit 1.
-    # Help, version, unknown commands and unrecognized arguments go to
-    # build_parser, which prints the full parser's message and exits: it
-    # accepts exactly the argv that a command's own parser accepts.
+    # A known command parses with its own parser, the twin of its subparser
+    # in build_parser, built on the command's first call and reused by later
+    # calls in the same process (parse_known_args only reads it); its
+    # handler's refusals end here with exit 1. Help, version, unknown
+    # commands and unrecognized arguments go to build_parser, which prints
+    # the full parser's message and exits: it accepts exactly the argv that
+    # a command's own parser accepts.
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in COMMANDS:
-        _, add_arguments, handler = COMMANDS[argv[0]]
-        parser = argparse.ArgumentParser(prog=f"gaussmap {argv[0]}")
-        add_arguments(parser)
-        args, extras = parser.parse_known_args(argv[1:])
+        args, extras = _parser(argv[0]).parse_known_args(argv[1:])
         if not extras:
             try:
-                return handler(args)
+                return COMMANDS[argv[0]][2](args)
             except (OSError, ValueError) as exc:
                 print(f"{argv[0]}: {exc}", file=sys.stderr)
                 return EXIT_SCHEMA

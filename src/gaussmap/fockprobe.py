@@ -608,7 +608,10 @@ def probe_fock_mixture(weights, lam, eps=DEFAULT_EPS):
         raise ValueError("weights must be finite numbers")
     if np.any(c < 0.0):
         raise ValueError("weights must be nonnegative")
-    total = float(np.sum(c))
+    # Finite weights can still sum past the largest double: that is inf,
+    # refused below, not a warning.
+    with np.errstate(over="ignore"):
+        total = float(np.sum(c))
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {total!r}")
     if abs(_finite("lam", lam)) <= 1.0:
@@ -664,6 +667,10 @@ def airy_limit_error(k, m, lam):
     returned error is |e^(i phi) - 1| + O(m^(-2/3)). phi falls only like
     m^(-1/3): at lam = 2, k = 2, m = 10^4 it gives 0.056 of the 0.0649.
 
+    A k whose k^3 / 3 overflows, or an m at which the evaluation
+    overflows, is refused. Below that the error is not guarded: from m
+    of about 1e13 it is dominated by rounding.
+
     Args:
         k: real scaling variable.
         m: Fock index, at least 1.
@@ -673,17 +680,27 @@ def airy_limit_error(k, m, lam):
         raise ValueError(f"limit evaluation needs m >= 1, got {m!r}")
     if not _finite("lam", lam) > 1.0:
         raise ValueError(f"limit evaluation needs lam > 1, got {lam!r}")
-    if _finite("k", k) == 0.0:
+    k = _finite("k", k)
+    if k == 0.0:
         return 0.0
     tau = _tau_of(lam)
-    a_m = (1.0 - tau) / (m * tau * (1.0 + tau)) ** (1.0 / 3.0)
-    q = a_m * float(k)
-    z = np.exp(-1j * q)
-    log_g = (
-        math.log(1.0 - tau)
-        + m * np.log(z - tau)
-        - (m + 1) * np.log(1.0 - tau * z)
-    )
-    value = np.exp(log_g + 1j * lam * lam * m * q)
-    target = np.exp(1j * float(k) ** 3 / 3.0)
-    return float(abs(value - target))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.float64(k) ** 3 / 3.0
+        if not np.isfinite(phase):
+            raise ValueError(f"k = {k!r} gives k^3 / 3 = {float(phase)!r} in double precision")
+        try:
+            a_m = (1.0 - tau) / (m * tau * (1.0 + tau)) ** (1.0 / 3.0)
+        except OverflowError:  # an int m beyond the largest double
+            raise ValueError(f"m = {m!r} is beyond double precision") from None
+        q = a_m * k
+        z = np.exp(-1j * q)
+        log_g = (
+            math.log(1.0 - tau)
+            + m * np.log(z - tau)
+            - (m + 1) * np.log(1.0 - tau * z)
+        )
+        value = np.exp(log_g + 1j * lam * lam * m * q)
+        error = float(abs(value - np.exp(1j * phase)))
+    if not math.isfinite(error):
+        raise ValueError(f"m = {m!r} gives a limit error of {error!r} in double precision")
+    return error

@@ -21,7 +21,7 @@ from gaussmap import (
     q_exchange_example,
     transposition_matrix,
 )
-from gaussmap.cli import COMMANDS, build_parser, main
+from gaussmap.cli import COMMANDS, _parser, build_parser, main
 from gaussmap.io import load_map, load_state_arrays, save_map, save_state, write_report
 from helpers import count_eigensolves, random_symplectic, random_valid_cov, seeded_map
 
@@ -559,13 +559,18 @@ def test_file_command_report_header(fixtures, tmp_path, command):
         ["apply", "huger2.json", "vac2.json"],
         ["classify", "huge150.json"],
         ["decompose", "huge150.json"],
+        ["probe", "--weights", "1e308,1e308", "--lambda", "2"],
+        ["limit-check", "--lambda", "2", "--k", "1e300", "--m-list", "10"],
+        ["limit-check", "--lambda", "2", "--k", "1", "--m-list", "99999999999999999999"],
+        ["limit-check", "--lambda", "2", "--k", "1", "--m-list", "1" + "0" * 400],
     ],
 )
 def test_exit_1_writes_no_report(fixtures, tmp_path, capsys, argv):
     """A run that ends with exit 1 (bad --tol, missing or malformed file,
     dimension mismatch, a map that cannot be decided in double precision,
-    a refused probe or limit-check argument) prints one line to stderr and
-    writes no report, nor the CSV of probe and limit-check."""
+    a refused probe or limit-check argument, weights whose sum or a k or m
+    whose limit error overflows) prints one line to stderr, with no warning,
+    and writes no report, nor the CSV of probe and limit-check."""
     argv = [fixtures.get(a, os.path.join(fixtures["dir"], a)) if a.endswith(".json") else a for a in argv]
     r = tmp_path / "r.json"
     flag = "--csv" if argv[0] in ("probe", "limit-check") else "--report"
@@ -875,8 +880,9 @@ def _command_argvs(paths):
 
 
 def test_command_call_builds_one_parser(fixtures, monkeypatch, capsys):
-    """A call that names a command builds that command's parser and no other
-    (the full parser is seven: the top level and six subparsers)."""
+    """The first call of a command in a process builds that command's parser
+    and no other, and a repeat builds none (the full parser is seven: the
+    top level and six subparsers)."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -885,13 +891,57 @@ def test_command_call_builds_one_parser(fixtures, monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _parser.cache_clear()
     for argv in _command_argvs(fixtures):
         built.clear()
         assert main(argv) in (0, 2)
         assert built == [f"gaussmap {argv[0]}"]
+        built.clear()
+        assert main(argv) in (0, 2)
+        assert built == []
     built.clear()
     build_parser()
     assert len(built) == 7
+
+
+def test_reused_parser_carries_nothing_between_calls(fixtures, tmp_path, monkeypatch, capsys):
+    """classify's parser, reused by four calls in one process, gives each the
+    exit code and output of the same call in a fresh interpreter: --tol and
+    --report of one call do not reach the next, nor does a usage error."""
+    monkeypatch.setenv("COLUMNS", "80")
+    m, r1, r2 = fixtures["dil2.json"], tmp_path / "r1.json", tmp_path / "r2.json"
+    calls = [
+        ["classify", m, "--tol", "1e-6", "--report", str(r1)],
+        ["classify", m, "--report", str(r2)],
+        ["classify", m, "--tol", "abc"],
+        ["classify", m],
+    ]
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    _parser.cache_clear()
+    seen = [in_process(argv) for argv in calls[:3]]
+    assert [code for code, _, _ in seen] == [0, 0, 2]
+    assert json.loads(r1.read_text(encoding="utf-8"))["tol"] == 1e-6
+    assert json.loads(r2.read_text(encoding="utf-8"))["tol"] == 1e-9
+    r1.unlink()
+    r2.unlink()
+    before = sorted(os.listdir(tmp_path))
+    seen.append(in_process(calls[3]))
+    assert seen[3][0] == 0 and sorted(os.listdir(tmp_path)) == before
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gaussmap.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, got in zip(calls, seen):
+        fresh = subprocess.run([sys.executable, "-m", "gaussmap.cli", *argv],
+                               env=env, capture_output=True, text=True)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def _valid_argvs(paths):

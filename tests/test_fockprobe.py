@@ -2,6 +2,7 @@ import math
 import operator
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -714,6 +715,15 @@ def test_probe_rejects_bad_weights():
         probe_fock_mixture([], 2.0)
 
 
+def test_probe_refuses_weights_whose_sum_overflows():
+    """Finite weights that sum past the largest double are refused as a sum
+    of inf, with no overflow warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("weights must sum to 1, got inf")):
+            probe_fock_mixture([1e308, 1e308], 2.0)
+
+
 NONFINITE = [math.nan, math.inf, -math.inf]
 
 
@@ -947,6 +957,33 @@ def test_airy_limit_error_rejects_nonfinite_arguments(bad):
         airy_limit_error(bad, 100, 2.0)
     with pytest.raises(ValueError, match="lam"):
         airy_limit_error(1.0, 100, bad)
+
+
+@pytest.mark.parametrize(
+    "k, m, message",
+    [
+        (1e300, 10, "k = 1e+300 gives k^3 / 3 = inf"),
+        (-1e103, 10, "k = -1e+103 gives k^3 / 3 = -inf"),
+        (1.0, 10**20, f"m = {10**20} gives a limit error of inf"),
+        (1.0, 10**400, f"m = {10**400} is beyond double precision"),
+    ],
+)
+def test_airy_limit_error_refuses_what_overflows(k, m, message):
+    """A k whose k^3 / 3 overflows, an m whose evaluation overflows and an
+    int m beyond the largest double each give one ValueError naming k or m,
+    with no warning and no OverflowError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            airy_limit_error(k, m, 2.0)
+
+
+def test_airy_limit_error_just_below_the_overflow_is_finite():
+    """k^3 / 3 of 1e102 is finite, and so is the error at m = 10^17."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(airy_limit_error(1e102, 10, 2.0))
+        assert math.isfinite(airy_limit_error(1.0, 10**17, 2.0))
 
 
 @pytest.mark.parametrize("lam", [1.0, -1.0])
